@@ -13,11 +13,12 @@ from .cubic import (CubicForm, LagrangianPointData, gauss_curvature,
                     validate_cubic)
 from .delta import (DeltaDiagnostics, DeltaTuple, OptimizerOptions,
                     SubspaceConfig, config_objective, delta_invariant,
-                    delta_invariant_batch, enumerate_tuples,
+                    delta_invariant_batch, delta_value, enumerate_tuples,
                     oracle_delta_dim3, oracle_delta_grid)
 from .inequalities import (InequalityReport, InequalityVariant,
                            StructureReport, admissible_variants,
-                           coefficients, detect_equality_structure, evaluate,
+                           bound_report, coefficients,
+                           detect_equality_structure, evaluate,
                            select_improved, soundness_audit,
                            synthesize_equality_data)
 from .fields import (CompatibilityReport, CubicField, compatibility_report,
@@ -43,12 +44,13 @@ __all__ = [
     # delta invariants
     "DeltaDiagnostics", "DeltaTuple", "OptimizerOptions", "SubspaceConfig",
     "config_objective", "delta_invariant", "delta_invariant_batch",
-    "enumerate_tuples", "oracle_delta_dim3", "oracle_delta_grid",
+    "delta_value", "enumerate_tuples", "oracle_delta_dim3",
+    "oracle_delta_grid",
     # inequalities
     "InequalityReport", "InequalityVariant", "StructureReport",
-    "admissible_variants", "coefficients", "detect_equality_structure",
-    "evaluate", "select_improved", "soundness_audit",
-    "synthesize_equality_data",
+    "admissible_variants", "bound_report", "coefficients",
+    "detect_equality_structure", "evaluate", "select_improved",
+    "soundness_audit", "synthesize_equality_data",
     # fields
     "CompatibilityReport", "CubicField", "compatibility_report",
     "exotic_s3_field",

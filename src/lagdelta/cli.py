@@ -13,14 +13,13 @@ import sys
 
 import numpy as np
 
-from .cubic import point_data_from_json
+from .cubic import gauss_curvature, mean_curvature, point_data_from_json
 from .delta import (DeltaTuple, OptimizerOptions, delta_invariant,
                     oracle_delta_dim3, oracle_delta_grid)
-from .cubic import gauss_curvature, mean_curvature
 from .exceptions import ChartDomainError, HorizontalityError, Inadmissible
 from .frames import scalar_tau
-from .gallery import example_names, run_example
-from .inequalities import (InequalityVariant, coefficients, select_improved,
+from .gallery import example_names, example_point_data, run_example
+from .inequalities import (InequalityVariant, bound_report, select_improved,
                            soundness_audit)
 
 __all__ = ["main"]
@@ -95,21 +94,6 @@ def _parse_n_spec(spec: str) -> list[int]:
     return [int(spec)]
 
 
-def _example_point_data(name: str):
-    if name == "exotic-s3":
-        from .fields import exotic_s3_field
-        return exotic_s3_field().lagrangian_data(np.array([1.0, 0, 0, 0]))
-    if name in ("graph-8.2", "graph-equality"):
-        from .immersions import (equality_graph_function, graph_immersion,
-                                 induced_data_flat)
-        tup = DeltaTuple(5, (2,))
-        F, grad = equality_graph_function(tup, 1.0)
-        chart = graph_immersion(F, grad=grad, n=5, name=name)
-        return induced_data_flat(chart, np.zeros(5)).data
-    raise Inadmissible(f"no pointwise data registered for example {name!r}; "
-                       f"use exotic-s3 or graph-8.2")
-
-
 def _cmd_verify(args) -> int:
     try:
         claims = run_example(args.example, samples=args.samples,
@@ -163,18 +147,18 @@ def _cmd_delta(args) -> int:
             with open(args.input) as fh:
                 data = point_data_from_json(fh.read())
         else:
-            data = _example_point_data(args.example)
+            data = example_point_data(args.example)
         tup = _parse_tuple(args.tuple_spec, data.n)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        R = gauss_curvature(data)
+    except KeyError as exc:  # unknown example name
+        print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
-    except (ValueError, Inadmissible) as exc:
+    except (OSError, ValueError) as exc:  # unreadable or invalid input
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
     opts = OptimizerOptions(restarts=args.restarts, max_iters=args.max_iters,
                             seed=args.seed)
-    R = gauss_curvature(data)
     value, config, diag = delta_invariant(R, tup, opts)
     _, h2 = mean_curvature(data.h)
 
@@ -215,9 +199,11 @@ def _cmd_delta(args) -> int:
         except Inadmissible as exc:
             print(f"oracle unavailable: {exc}", file=sys.stderr)
 
-    reports = []
+    # the CSV row of a bare delta run, where no bound is evaluated
+    row = {"variant": "none", "tuple": tup.parts, "n": data.n, "c": data.c,
+           "delta": value, "h2": h2, "rhs": float("nan"),
+           "slack": float("nan"), "equality": False}
     if args.variant:
-        from .inequalities import evaluate
         if args.variant == "auto":
             try:
                 variant = select_improved(tup)
@@ -226,37 +212,19 @@ def _cmd_delta(args) -> int:
         else:
             variant = InequalityVariant(args.variant)
         try:
-            a, b = coefficients(variant, tup)
+            rep = bound_report(data, variant, tup, value, args.eq_tol, diag)
         except Inadmissible as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        rhs = a * h2 + b * data.c
-        slack = rhs - value
-        rep = {
-            "variant": variant.value, "tuple": list(tup.parts), "n": data.n,
-            "c": data.c, "delta": value, "h2": h2, "rhs": rhs,
-            "slack": slack, "equality": bool(abs(slack) <= args.eq_tol),
-            "diagnostics": diag.summary(),
-        }
-        reports.append(rep)
-        payload["report"] = rep
-        print(f"{variant.value}: rhs = {rhs:.12g}, slack = {slack:.12g}, "
-              f"equality = {rep['equality']}")
+        row = payload["report"] = rep.to_dict()
+        print(f"{variant.value}: rhs = {rep.rhs:.12g}, "
+              f"slack = {rep.slack:.12g}, equality = {rep.equality}")
 
     if args.out:
         if args.format == "json":
             _emit(_json(payload), args.out)
         else:
-            rows = [CSV_HEADER]
-            if reports:
-                rows += [_report_csv_row(r) for r in reports]
-            else:  # bare delta run: no bound evaluated
-                rows.append(_report_csv_row({
-                    "variant": "none", "tuple": tup.parts, "n": data.n,
-                    "c": data.c, "delta": value, "h2": h2,
-                    "rhs": float("nan"), "slack": float("nan"),
-                    "equality": False}))
-            _emit("\n".join(rows), args.out)
+            _emit(CSV_HEADER + "\n" + _report_csv_row(row), args.out)
     return 0
 
 
@@ -317,17 +285,16 @@ def _cmd_audit(args) -> int:
             rows = ["sample," + CSV_HEADER]
             for n, res in all_results:
                 for (parts, variant), slack in res["slacks"].items():
-                    a, b = coefficients(variant, DeltaTuple(n, parts))
+                    rhs = res["rhs"][(parts, variant)]
                     deltas = res["deltas"][parts]
                     h2 = res["h2"]
                     for s in range(len(slack)):
-                        rhs = a * h2[s]
                         rows.append(
                             f"{s}," + _report_csv_row({
                                 "variant": variant.value,
                                 "tuple": parts, "n": n, "c": 0.0,
                                 "delta": deltas[s], "h2": h2[s],
-                                "rhs": rhs, "slack": slack[s],
+                                "rhs": rhs[s], "slack": slack[s],
                                 "equality": bool(abs(slack[s]) <= 1e-6)}))
             _emit("\n".join(rows), args.out)
     return 0 if ok else 1

@@ -11,13 +11,19 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import permutations
 
 import numpy as np
 
 from .exceptions import SymmetryViolation
-from .frames import CurvatureTensor, scalar_tau
+from .frames import CurvatureTensor, constant_curvature
 
 __all__ = [
+    "cubic_triples",
+    "scatter_cubic",
+    "symmetrize_cubic",
+    "gauss_components",
+    "mean_curvature_dense",
     "CubicForm",
     "LagrangianPointData",
     "validate_cubic",
@@ -29,6 +35,60 @@ __all__ = [
     "point_data_from_json",
     "point_data_to_json",
 ]
+
+
+# The dense core: cubic arrays are batch-shaped (..., n, n, n), 0-based.
+_PERMUTATIONS = tuple(permutations(range(3)))  # identity first
+
+
+def cubic_triples(n: int) -> np.ndarray:
+    """Sorted 0-based triples a <= b <= c, shape (T, 3), in lexicographic
+    order: the order in which random draws fill the coefficients."""
+    return np.array([(a, b, c) for a in range(n) for b in range(a, n)
+                     for c in range(b, n)], dtype=int).reshape(-1, 3)
+
+
+def scatter_cubic(h: np.ndarray, triples, values) -> np.ndarray:
+    """Write ``values[..., t]`` at every permutation of the 0-based index
+    triple ``triples[t]`` of h, shape (..., n, n, n); returns h."""
+    idx = np.asarray(triples, dtype=int).reshape(-1, 3).T
+    for p in _PERMUTATIONS:
+        h[..., idx[p[0]], idx[p[1]], idx[p[2]]] = values
+    return h
+
+
+def symmetrize_cubic(t: np.ndarray) -> np.ndarray:
+    """Average of an (..., n, n, n) array over the permutations of its last
+    three axes."""
+    lead = list(range(t.ndim - 3))
+    return sum(t.transpose(lead + [k - 3 for k in p])
+               for p in _PERMUTATIONS) / 6.0
+
+
+def gauss_components(h: np.ndarray, c: float) -> np.ndarray:
+    """Curvature components (..., n, n, n, n) from cubic arrays (..., n, n, n).
+
+    ``R_ABCD = sum_E (h^E_AD h^E_BC - h^E_BD h^E_AC)
+               + c (d_AD d_BC - d_AC d_BD)``.
+    """
+    # overflowing products are left to CurvatureTensor's finiteness check
+    with np.errstate(over="ignore", invalid="ignore"):
+        comp = (np.einsum("...ead,...ebc->...abcd", h, h)
+                - np.einsum("...ebd,...eac->...abcd", h, h))
+        comp += constant_curvature(h.shape[-1], c).components
+    return comp
+
+
+def mean_curvature_dense(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean curvature ``H^A = (1/n) sum_B h^A_BB`` and its squared norm.
+
+    The trace is a running sum in index order, so exactly traceless
+    constructions give exactly zero; the squared norm is a stacked dot
+    product, which rounds as ``H @ H`` does for a single point.
+    """
+    diag = np.diagonal(h, axis1=-2, axis2=-1)  # h[..., a, b, b]
+    H = np.cumsum(diag, axis=-1)[..., -1] / h.shape[-1]
+    return H, np.matmul(H[..., None, :], H[..., :, None])[..., 0, 0]
 
 
 @dataclass(frozen=True)
@@ -44,6 +104,9 @@ class CubicForm:
             a, b, c = sorted(key)
             if not (1 <= a and c <= self.n):
                 raise ValueError(f"triple {key} out of range 1..{self.n}")
+            if not np.isfinite(val):
+                raise ValueError(f"coefficient of triple {key} is not "
+                                 f"finite: {val!r}")
             if val != 0.0:
                 clean[(a, b, c)] = float(val)
         object.__setattr__(self, "coeffs", clean)
@@ -54,29 +117,21 @@ class CubicForm:
 
     def dense(self) -> np.ndarray:
         """Dense (n, n, n) array, 0-based."""
-        h = np.zeros((self.n,) * 3)
-        for (a, b, c), val in self.coeffs.items():
-            for i, j, k in {(a, b, c), (a, c, b), (b, a, c),
-                            (b, c, a), (c, a, b), (c, b, a)}:
-                h[i - 1, j - 1, k - 1] = val
-        return h
+        return scatter_cubic(np.zeros((self.n,) * 3),
+                             np.array(list(self.coeffs), dtype=int) - 1,
+                             list(self.coeffs.values()))
 
     @classmethod
     def from_dense(cls, h: np.ndarray, tol: float = 1e-12) -> "CubicForm":
         """Build from a dense array, checking total symmetry."""
         h = np.asarray(h, dtype=float)
         n = h.shape[0]
-        dev = max(np.abs(h - h.transpose(p)).max()
-                  for p in [(0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)])
+        dev = max(np.abs(h - h.transpose(p)).max() for p in _PERMUTATIONS[1:])
         if dev > tol * (1.0 + np.abs(h).max()):
             raise ValueError(f"array is not totally symmetric: deviation {dev:.3e}")
-        coeffs = {}
-        for a in range(n):
-            for b in range(a, n):
-                for c in range(b, n):
-                    if h[a, b, c] != 0.0:
-                        coeffs[(a + 1, b + 1, c + 1)] = float(h[a, b, c])
-        return cls(n, coeffs)
+        triples = cubic_triples(n)
+        keys = map(tuple, (triples + 1).tolist())
+        return cls(n, dict(zip(keys, h[tuple(triples.T)])))
 
 
 def validate_cubic(raw, n: int) -> CubicForm:
@@ -132,33 +187,18 @@ def rotate_cubic(h: CubicForm, Q: np.ndarray) -> CubicForm:
 
 
 def gauss_curvature(data: LagrangianPointData) -> CurvatureTensor:
-    """Curvature tensor reconstructed from the cubic form.
-
-    ``R_ABCD = sum_E (h^E_AD h^E_BC - h^E_BD h^E_AC)
-               + c (d_AD d_BC - d_AC d_BD)``.
-    """
-    h = data.h.dense()
-    comp = (np.einsum("ead,ebc->abcd", h, h)
-            - np.einsum("ebd,eac->abcd", h, h))
-    eye = np.eye(data.n)
-    comp += data.c * (np.einsum("ad,bc->abcd", eye, eye)
-                      - np.einsum("ac,bd->abcd", eye, eye))
-    return CurvatureTensor(data.n, comp)
+    """Curvature tensor reconstructed from the cubic form by the Gauss
+    equation (:func:`gauss_components`)."""
+    return CurvatureTensor(data.n, gauss_components(data.h.dense(), data.c))
 
 
 def mean_curvature(h: CubicForm) -> tuple[np.ndarray, float]:
     """Mean curvature components in the J-frame and their squared norm.
 
-    ``H^A = (1/n) sum_B h^A_BB``.  The trace is accumulated in index order
-    so exactly traceless constructions give exactly zero.
+    ``H^A = (1/n) sum_B h^A_BB``; see :func:`mean_curvature_dense`.
     """
-    H = np.zeros(h.n)
-    for a in range(1, h.n + 1):
-        acc = 0.0
-        for b in range(1, h.n + 1):
-            acc += h.coeff(a, b, b)
-        H[a - 1] = acc / h.n
-    return H, float(H @ H)
+    H, h2 = mean_curvature_dense(h.dense())
+    return H, float(h2)
 
 
 def tau_from_cubic(data: LagrangianPointData) -> float:
@@ -182,12 +222,9 @@ def tau_from_cubic(data: LagrangianPointData) -> float:
 def random_cubic_form(n: int, rng: np.random.Generator,
                       scale: float = 1.0) -> CubicForm:
     """Independent standard-normal coefficient per sorted triple."""
-    coeffs = {}
-    for a in range(1, n + 1):
-        for b in range(a, n + 1):
-            for c in range(b, n + 1):
-                coeffs[(a, b, c)] = scale * rng.standard_normal()
-    return CubicForm(n, coeffs)
+    triples = cubic_triples(n)
+    values = scale * rng.standard_normal(len(triples))
+    return CubicForm(n, dict(zip(map(tuple, (triples + 1).tolist()), values)))
 
 
 def point_data_from_json(text: str) -> LagrangianPointData:
@@ -213,7 +250,3 @@ def point_data_to_json(data: LagrangianPointData) -> str:
         obj["source"] = data.source
     return json.dumps(obj)
 
-
-def scalar_tau_of(data: LagrangianPointData) -> float:
-    """Convenience: tau through the Gauss-equation path."""
-    return scalar_tau(gauss_curvature(data))

@@ -30,6 +30,7 @@ __all__ = [
     "config_objective",
     "delta_invariant",
     "delta_invariant_batch",
+    "delta_value",
     "oracle_delta_dim3",
     "oracle_delta_grid",
 ]
@@ -550,6 +551,18 @@ def oracle_delta_dim3(R: CurvatureTensor) -> float:
     M = pair_curvature_operator(R.components)
     lam_min = float(np.linalg.eigvalsh(M)[0])
     return scalar_tau(R) - lam_min
+
+
+def delta_value(R: CurvatureTensor, tup: DeltaTuple,
+                opts: OptimizerOptions | None = None):
+    """delta(n_1, ..., n_k): exact by the eigenvalue oracle in dimension 3,
+    whose only tuple is (2), and by the optimizer otherwise.  Returns
+    (value, diagnostics); diagnostics is None on the exact path.  A tuple
+    of another dimension goes to delta_invariant, which rejects it."""
+    if R.n == 3 == tup.n:
+        return oracle_delta_dim3(R), None
+    value, _, diagnostics = delta_invariant(R, tup, opts)
+    return value, diagnostics
 
 
 # Rotation-angle products covering the configuration spaces for n <= 4.

@@ -11,12 +11,12 @@ curvature identity R(X, Y)Z = c (X ^ Y) Z + alpha(alpha(Y, Z), X)
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .cubic import CubicForm, LagrangianPointData
+from .cubic import CubicForm, LagrangianPointData, symmetrize_cubic
 from .frames import MetricFrame, gram_schmidt
 from .numdiff import directional
 
@@ -59,10 +59,7 @@ class CubicField:
         E = mf.frame
         C = np.einsum("mij,mk->ijk", alpha, G)
         dense = np.einsum("ijk,iA,jB,kC->ABC", C, E, E, E, optimize=True)
-        sym = (dense + dense.transpose(0, 2, 1) + dense.transpose(1, 0, 2)
-               + dense.transpose(1, 2, 0) + dense.transpose(2, 0, 1)
-               + dense.transpose(2, 1, 0)) / 6.0
-        return mf, CubicForm.from_dense(sym, tol=1e-8)
+        return mf, CubicForm.from_dense(symmetrize_cubic(dense), tol=1e-8)
 
     def lagrangian_data(self, u) -> LagrangianPointData:
         _, form = self.point_data(u)

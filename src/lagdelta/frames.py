@@ -64,6 +64,8 @@ class CurvatureTensor:
             raise ValueError(f"expected shape {(self.n,) * 4}, got {comp.shape}")
         if self.n < 2:
             raise ValueError("dimension must be >= 2")
+        if not np.isfinite(comp).all():
+            raise ValueError("curvature components must be finite")
         scale = 1.0 + np.abs(comp).max()
         dev = max(riemann_symmetry_deviation(comp), bianchi_deviation(comp))
         if dev > self.tol * scale:

@@ -12,19 +12,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cubic import gauss_curvature, mean_curvature, tau_from_cubic
-from .delta import DeltaTuple, OptimizerOptions, delta_invariant, oracle_delta_dim3
+from .cubic import cubic_triples, tau_from_cubic
+from .delta import DeltaTuple, OptimizerOptions
+from .exceptions import Inadmissible
 from .fields import compatibility_report, exotic_s3_field
-from .frames import scalar_tau
 from .immersions import (OdeState, clifford_legendrian, cp_equality_chart,
                          equality_graph_function, exotic_s3_horizontal_chart,
                          flat_equality_chart, graph_immersion,
                          horizontality_residual, induced_data_flat,
                          induced_data_horizontal, lagrangian_residual,
                          ode_family_integrate, trajectory_residuals)
-from .inequalities import InequalityVariant, coefficients
+from .inequalities import InequalityVariant, evaluate
 
-__all__ = ["Claim", "GALLERY", "run_example", "example_names"]
+__all__ = ["Claim", "GALLERY", "run_example", "example_names",
+           "example_point_data", "mesh_export"]
 
 
 @dataclass
@@ -54,6 +55,25 @@ def _mesh_rows(chart, samples, seed, margin=0.05):
     return rng.uniform(lo + pad, hi - pad, size=(samples, chart.n))
 
 
+def _graph_chart(domain=None):
+    """The gradient graph whose data at 0 attains the improved bound."""
+    F, grad = equality_graph_function(DeltaTuple(5, (2,)), 1.0)
+    return graph_immersion(F, grad=grad, n=5, domain=domain, name="graph-8.2")
+
+
+def _flat_chart(n: int = 3, b: float = 1.0):
+    return flat_equality_chart(n, b, clifford_legendrian(n))
+
+
+def _cp_profile(n: int, step: float):
+    return ode_family_integrate(n, OdeState(0.0, 0.0, 1.0, 0.0), (0.0, 0.5),
+                                step)
+
+
+def _cp_chart(traj):
+    return cp_equality_chart(traj.n, traj, clifford_legendrian(traj.n))
+
+
 def verify_exotic_s3(samples: int = 100, seed: int = 0) -> list[Claim]:
     """Berger-sphere example: constant tau = 1/3, minimal, delta(2) = 2,
     equality in the first bound (rhs = 2 at c = 1, n = 3), horizontal
@@ -61,17 +81,15 @@ def verify_exotic_s3(samples: int = 100, seed: int = 0) -> list[Claim]:
     fld = exotic_s3_field()
     pts = fld.sample_points(samples, seed)
     worst_tau = worst_h2 = worst_delta = worst_slack = 0.0
-    a, b = coefficients(InequalityVariant.FIRST, DeltaTuple(3, (2,)))
+    tup = DeltaTuple(3, (2,))
     for y in pts:
         data = fld.lagrangian_data(y)
         tau = tau_from_cubic(data)
         worst_tau = max(worst_tau, abs(tau - 1.0 / 3.0))
-        _, h2 = mean_curvature(data.h)
-        worst_h2 = max(worst_h2, h2)
-        delta = oracle_delta_dim3(gauss_curvature(data))
-        worst_delta = max(worst_delta, abs(delta - 2.0))
-        rhs = a * h2 + b * 1.0
-        worst_slack = max(worst_slack, abs(rhs - delta))
+        rep = evaluate(data, InequalityVariant.FIRST, tup)
+        worst_h2 = max(worst_h2, rep.h2)
+        worst_delta = max(worst_delta, abs(rep.delta - 2.0))
+        worst_slack = max(worst_slack, abs(rep.slack))
 
     comp = compatibility_report(fld, samples=min(samples, 10), seed=seed)
 
@@ -102,35 +120,26 @@ def verify_graph_equality(samples: int = 1, seed: int = 0) -> list[Claim]:
     the analytic third derivatives, H^2 = 1.69, delta(2) = 11.375, and the
     improved bound is attained with nonzero mean curvature."""
     tup = DeltaTuple(5, (2,))
-    lam = 1.0
-    F, grad = equality_graph_function(tup, lam)
-    chart = graph_immersion(F, grad=grad, n=5, name="graph-8.2")
+    chart = _graph_chart()
     ex = induced_data_flat(chart, np.zeros(5))
     h = ex.data.h
 
     # analytic third derivatives of F at 0 (the independent oracle)
     expected = {(1, 1, 3): 0.75, (2, 2, 3): 0.75, (3, 3, 3): 3.0,
                 (3, 4, 4): 1.0, (3, 5, 5): 1.0}
-    worst_coeff = 0.0
-    for a in range(1, 6):
-        for b in range(a, 6):
-            for c in range(b, 6):
-                target = expected.get((a, b, c), 0.0)
-                worst_coeff = max(worst_coeff, abs(h.coeff(a, b, c) - target))
+    worst_coeff = max(abs(h.coeff(a, b, c) - expected.get((a, b, c), 0.0))
+                      for a, b, c in (cubic_triples(5) + 1).tolist())
 
-    _, h2 = mean_curvature(h)
     opts = OptimizerOptions(restarts=8, seed=seed)
-    delta, _, diag = delta_invariant(gauss_curvature(ex.data), tup, opts)
-    a_c, b_c = coefficients(InequalityVariant.IMPROVED, tup)
-    slack = a_c * h2 + b_c * 0.0 - delta
+    rep = evaluate(ex.data, InequalityVariant.IMPROVED, tup, opts)
 
     claims = [
         _claim("cubic-coefficients", worst_coeff, 1e-6,
                "vs analytic third derivatives"),
-        _claim("mean-curvature-sq", h2 - 1.69, 1e-6, "H^2 = 1.69"),
-        _claim("delta2", delta - 11.375, 1e-5, "delta(2) = 11.375"),
-        _claim("improved-bound-equality", slack, 1e-6, "slack at 0"),
-        _claim("nonzero-mean-curvature", h2, 0.5, "H^2 > 0", lower=True),
+        _claim("mean-curvature-sq", rep.h2 - 1.69, 1e-6, "H^2 = 1.69"),
+        _claim("delta2", rep.delta - 11.375, 1e-5, "delta(2) = 11.375"),
+        _claim("improved-bound-equality", rep.slack, 1e-6, "slack at 0"),
+        _claim("nonzero-mean-curvature", rep.h2, 0.5, "H^2 > 0", lower=True),
     ]
     if samples > 1:
         rng = np.random.default_rng(seed)
@@ -147,25 +156,18 @@ def verify_flat_family(samples: int = 50, seed: int = 0,
                        n: int = 3, b: float = 1.0) -> list[Claim]:
     """Flat hyperplane-tuple family: Lagrangian, non-minimal, and the
     c = 0 bound delta(n-1) <= n(n-1) H^2 / 4 is attained."""
-    legendrian = clifford_legendrian(n)
-    chart = flat_equality_chart(n, b, legendrian)
+    chart = _flat_chart(n, b)
     pts = _mesh_rows(chart, samples, seed)
-    a_c, _ = coefficients(InequalityVariant.HYPERPLANE_FLAT,
-                          DeltaTuple(n, (n - 1,)))
+    tup = DeltaTuple(n, (n - 1,))
     worst_omega = worst_slack = 0.0
     min_h2 = np.inf
     opts = OptimizerOptions(restarts=6, seed=seed)
     for x in pts:
         worst_omega = max(worst_omega, lagrangian_residual(chart, x))
         ex = induced_data_flat(chart, x)
-        _, h2 = mean_curvature(ex.data.h)
-        min_h2 = min(min_h2, h2)
-        R = gauss_curvature(ex.data)
-        if n == 3:
-            delta = oracle_delta_dim3(R)
-        else:
-            delta, _, _ = delta_invariant(R, DeltaTuple(n, (n - 1,)), opts)
-        worst_slack = max(worst_slack, abs(a_c * h2 - delta))
+        rep = evaluate(ex.data, InequalityVariant.HYPERPLANE_FLAT, tup, opts)
+        min_h2 = min(min_h2, rep.h2)
+        worst_slack = max(worst_slack, abs(rep.slack))
     return [
         _claim("kahler-pullback", worst_omega, 1e-8),
         _claim("nonminimal", min_h2, 1e-6, "min H^2 > 0", lower=True),
@@ -178,19 +180,14 @@ def verify_cp_family(samples: int = 20, seed: int = 0, n: int = 3,
     """Projective hyperplane-tuple family over the profile ODE: integrator
     residuals, unit-norm and horizontality of the chart, and equality of
     delta(n-1) <= (n-1)(n H^2 + 4)/4."""
-    init = OdeState(0.0, 0.0, 1.0, 0.0)
-    traj = ode_family_integrate(n, init, (0.0, 0.5), step)
+    traj = _cp_profile(n, step)
     resid = float(trajectory_residuals(traj).max())
-    coarse = ode_family_integrate(n, init, (0.0, 0.5), 8e-3)
-    fine = ode_family_integrate(n, init, (0.0, 0.5), 4e-3)
-    ratio = (trajectory_residuals(coarse).max()
-             / trajectory_residuals(fine).max())
+    ratio = (trajectory_residuals(_cp_profile(n, 8e-3)).max()
+             / trajectory_residuals(_cp_profile(n, 4e-3)).max())
 
-    legendrian = clifford_legendrian(n)
-    chart = cp_equality_chart(n, traj, legendrian)
+    chart = _cp_chart(traj)
     pts = _mesh_rows(chart, samples, seed)
-    a_c, b_c = coefficients(InequalityVariant.HYPERPLANE_CP,
-                            DeltaTuple(n, (n - 1,)))
+    tup = DeltaTuple(n, (n - 1,))
     worst_norm = worst_horiz = worst_slack = 0.0
     opts = OptimizerOptions(restarts=6, seed=seed)
     for x in pts:
@@ -198,13 +195,8 @@ def verify_cp_family(samples: int = 20, seed: int = 0, n: int = 3,
         worst_norm = max(worst_norm, abs(np.linalg.norm(L) - 1.0))
         worst_horiz = max(worst_horiz, horizontality_residual(chart, x))
         ex = induced_data_horizontal(chart, x)
-        _, h2 = mean_curvature(ex.data.h)
-        R = gauss_curvature(ex.data)
-        if n == 3:
-            delta = oracle_delta_dim3(R)
-        else:
-            delta, _, _ = delta_invariant(R, DeltaTuple(n, (n - 1,)), opts)
-        worst_slack = max(worst_slack, abs(a_c * h2 + b_c - delta))
+        rep = evaluate(ex.data, InequalityVariant.HYPERPLANE_CP, tup, opts)
+        worst_slack = max(worst_slack, abs(rep.slack))
     return [
         _claim("integrator-residual", resid, 1e-9, f"step {step:g}"),
         _claim("integrator-order", ratio, 10.0,
@@ -220,55 +212,61 @@ GALLERY = {
     "graph-8.2": verify_graph_equality,
     "thm-9.2": verify_flat_family,
     "thm-9.3": verify_cp_family,
-    # descriptive aliases
-    "graph-equality": verify_graph_equality,
-    "flat-hyperplane-family": verify_flat_family,
-    "cp-hyperplane-family": verify_cp_family,
 }
+# descriptive aliases, accepted wherever an example is named
+_ALIASES = {
+    "graph-equality": "graph-8.2",
+    "flat-hyperplane-family": "thm-9.2",
+    "cp-hyperplane-family": "thm-9.3",
+}
+GALLERY.update({alias: GALLERY[name] for alias, name in _ALIASES.items()})
 
 
 def example_names() -> list[str]:
-    return ["exotic-s3", "graph-8.2", "thm-9.2", "thm-9.3"]
+    return [name for name in GALLERY if name not in _ALIASES]
 
 
-def _mesh_chart_and_eval(name: str):
-    """Chart, per-point data extractor and slack variant for mesh export."""
-    if name == "exotic-s3":
-        chart = exotic_s3_horizontal_chart()
-        variant, tup = InequalityVariant.FIRST, DeltaTuple(3, (2,))
-        c = 1.0
-        extract = induced_data_horizontal
-    elif name in ("graph-8.2", "graph-equality"):
-        tup = DeltaTuple(5, (2,))
-        F, grad = equality_graph_function(tup, 1.0)
-        full = graph_immersion(F, grad=grad, n=5, name=name)
-        full.domain = np.array([[-0.3, 0.3]] * 5)
-        chart, variant, c = full, InequalityVariant.IMPROVED, 0.0
-        extract = induced_data_flat
-    elif name in ("thm-9.2", "flat-hyperplane-family"):
-        chart = flat_equality_chart(3, 1.0, clifford_legendrian(3))
-        variant, tup = InequalityVariant.HYPERPLANE_FLAT, DeltaTuple(3, (2,))
-        c = 0.0
-        extract = induced_data_flat
-    elif name in ("thm-9.3", "cp-hyperplane-family"):
-        traj = ode_family_integrate(3, OdeState(0.0, 0.0, 1.0, 0.0),
-                                    (0.0, 0.5), 1e-3)
-        chart = cp_equality_chart(3, traj, clifford_legendrian(3))
-        variant, tup = InequalityVariant.HYPERPLANE_CP, DeltaTuple(3, (2,))
-        c = 1.0
-        extract = induced_data_horizontal
-    else:
+def _canonical(name: str) -> str:
+    if name not in GALLERY:
         raise KeyError(f"unknown example {name!r}; available: "
                        f"{', '.join(example_names())}")
-    return chart, extract, variant, tup, c
+    return _ALIASES.get(name, name)
+
+
+def example_point_data(name: str):
+    """An example's pointwise data at a fixed chart point."""
+    canonical = _canonical(name)
+    if canonical == "exotic-s3":
+        return exotic_s3_field().lagrangian_data(np.array([1.0, 0, 0, 0]))
+    if canonical == "graph-8.2":
+        return induced_data_flat(_graph_chart(), np.zeros(5)).data
+    raise Inadmissible(f"no pointwise data registered for example {name!r}; "
+                       f"use exotic-s3 or graph-8.2")
+
+
+def _mesh_chart_and_bound(name: str):
+    """Chart and bound (variant, tuple) of an example's mesh export."""
+    name = _canonical(name)
+    if name == "exotic-s3":
+        return (exotic_s3_horizontal_chart(), InequalityVariant.FIRST,
+                DeltaTuple(3, (2,)))
+    if name == "graph-8.2":
+        return (_graph_chart(domain=[[-0.3, 0.3]] * 5),
+                InequalityVariant.IMPROVED, DeltaTuple(5, (2,)))
+    if name == "thm-9.2":
+        return (_flat_chart(), InequalityVariant.HYPERPLANE_FLAT,
+                DeltaTuple(3, (2,)))
+    return (_cp_chart(_cp_profile(3, 1e-3)), InequalityVariant.HYPERPLANE_CP,
+            DeltaTuple(3, (2,)))
 
 
 def mesh_export(name: str, samples: int = 25, seed: int = 0):
     """Sampled rows for CSV export: chart point, ambient point, tau, H^2,
     and the example's bound slack.  Returns (header, rows)."""
-    chart, extract, variant, tup, c = _mesh_chart_and_eval(name)
+    chart, variant, tup = _mesh_chart_and_bound(name)
+    extract = (induced_data_flat if chart.ambient == "flat"
+               else induced_data_horizontal)
     pts = _mesh_rows(chart, samples, seed)
-    a_c, b_c = coefficients(variant, tup)
     ambient_dim = len(chart.eval(pts[0]))
     header = ([f"x{i}" for i in range(chart.n)]
               + [f"L{k}_{p}" for k in range(ambient_dim) for p in ("re", "im")]
@@ -278,25 +276,16 @@ def mesh_export(name: str, samples: int = 25, seed: int = 0):
     for x in pts:
         L = chart.eval(x)
         data = extract(chart, x).data
-        tau = tau_from_cubic(data)
-        _, h2 = mean_curvature(data.h)
-        R = gauss_curvature(data)
-        if chart.n == 3:
-            delta = oracle_delta_dim3(R)
-        else:
-            delta, _, _ = delta_invariant(R, tup, opts)
-        slack = a_c * h2 + b_c * c - delta
+        rep = evaluate(data, variant, tup, opts)
         row = list(x) + [v for z in L for v in (z.real, z.imag)]
-        row += [tau, h2, slack]
+        row += [tau_from_cubic(data), rep.h2, rep.slack]
         rows.append(row)
     return header, rows
 
 
 def run_example(name: str, samples: int | None = None,
                 seed: int = 0) -> list[Claim]:
-    if name not in GALLERY:
-        raise KeyError(f"unknown example {name!r}; available: "
-                       f"{', '.join(example_names())}")
+    _canonical(name)  # KeyError for an unknown name
     fn = GALLERY[name]
     if samples is None:
         return fn(seed=seed)

@@ -15,7 +15,8 @@ from typing import Callable
 
 import numpy as np
 
-from .cubic import CubicForm, LagrangianPointData
+from .cubic import (CubicForm, LagrangianPointData, mean_curvature_dense,
+                    symmetrize_cubic)
 from .exceptions import ChartDomainError, HorizontalityError
 from .frames import CurvatureTensor, gram_schmidt
 from .numdiff import jacobian as fd_jacobian
@@ -120,10 +121,10 @@ def horizontality_residual(chart: ImmersionChart, x: np.ndarray) -> float:
     return float(np.abs(np.einsum("ka,k->a", dL, L0.conj()).imag).max())
 
 
-def _extract(chart: ImmersionChart, x: np.ndarray, c: float,
-             pair_with: np.ndarray) -> tuple[LagrangianPointData, float]:
-    """Cubic coefficients <d2 L(e_B, e_C), i dL(e_A)> in the induced frame."""
-    dL = pair_with
+def _raw_cubic(chart: ImmersionChart, x: np.ndarray,
+               dL: np.ndarray) -> np.ndarray:
+    """Coefficients <d2 L(e_B, e_C), i dL(e_A)> in the induced orthonormal
+    frame, before symmetrization."""
     metric = np.einsum("ki,kj->ij", dL.conj(), dL).real
     eigs = np.linalg.eigvalsh(metric)
     if eigs[0] < 1e-10:
@@ -136,15 +137,17 @@ def _extract(chart: ImmersionChart, x: np.ndarray, c: float,
         d2 = second_derivatives(chart.evaluator, x, h=chart.step)
     tangents = dL @ frame  # columns: orthonormal frame in ambient coords
     d2f = np.einsum("kbc,bB,cC->kBC", d2, frame, frame)
-    raw = np.einsum("kBC,kA->ABC", d2f, tangents.conj()).imag
+    return np.einsum("kBC,kA->ABC", d2f, tangents.conj()).imag
+
+
+def _extract(chart: ImmersionChart, x: np.ndarray, c: float,
+             dL: np.ndarray) -> tuple[LagrangianPointData, float]:
+    """Symmetrized cubic data and the raw coefficients' symmetry deviation."""
+    raw = _raw_cubic(chart, x, dL)
     dev = max(float(np.abs(raw - raw.transpose(p)).max())
               for p in [(0, 2, 1), (1, 0, 2), (2, 1, 0)])
-    sym = (raw + raw.transpose(0, 2, 1) + raw.transpose(1, 0, 2)
-           + raw.transpose(1, 2, 0) + raw.transpose(2, 0, 1)
-           + raw.transpose(2, 1, 0)) / 6.0
-    data = LagrangianPointData(chart.n, c, CubicForm.from_dense(sym),
-                               source=chart.name)
-    return data, dev
+    form = CubicForm.from_dense(symmetrize_cubic(raw))
+    return LagrangianPointData(chart.n, c, form, source=chart.name), dev
 
 
 def induced_data_flat(chart: ImmersionChart, x: np.ndarray,
@@ -304,18 +307,8 @@ def legendrian_minimality_residual(chart: ImmersionChart, points) -> float:
     """
     worst = 0.0
     for x in np.atleast_2d(points):
-        dL = chart.jac(x)
-        metric = np.einsum("ki,kj->ij", dL.conj(), dL).real
-        frame = gram_schmidt(metric).frame
-        if chart.jacobian is not None:
-            d2 = second_derivatives(None, x, h=chart.step, jac=chart.jacobian)
-        else:
-            d2 = second_derivatives(chart.evaluator, x, h=chart.step)
-        tangents = dL @ frame
-        d2f = np.einsum("kbc,bB,cC->kBC", d2, frame, frame)
-        raw = np.einsum("kBC,kA->ABC", d2f, tangents.conj()).imag
-        H = np.einsum("abb->a", raw) / chart.n
-        worst = max(worst, float(np.linalg.norm(H)))
+        _, h2 = mean_curvature_dense(_raw_cubic(chart, x, chart.jac(x)))
+        worst = max(worst, float(np.sqrt(h2)))
     return worst
 
 

@@ -14,10 +14,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cubic import (CubicForm, LagrangianPointData, gauss_curvature,
-                    mean_curvature, random_cubic_form, rotate_cubic)
-from .delta import (DeltaTuple, OptimizerOptions, delta_invariant,
-                    delta_invariant_batch, oracle_delta_dim3)
+from .cubic import (CubicForm, LagrangianPointData, cubic_triples,
+                    gauss_components, gauss_curvature, mean_curvature,
+                    mean_curvature_dense, rotate_cubic, scatter_cubic)
+from .delta import (DeltaTuple, OptimizerOptions, delta_invariant_batch,
+                    delta_value, enumerate_tuples)
 from .exceptions import Inadmissible
 
 __all__ = [
@@ -28,6 +29,7 @@ __all__ = [
     "select_improved",
     "admissible_variants",
     "evaluate",
+    "bound_report",
     "detect_equality_structure",
     "synthesize_equality_data",
     "soundness_audit",
@@ -164,27 +166,38 @@ class InequalityReport:
 
 def evaluate(data: LagrangianPointData, variant: InequalityVariant,
              tup: DeltaTuple, opts: OptimizerOptions | None = None,
-             eq_tol: float = 1e-6,
-             delta_path: str = "optimizer") -> InequalityReport:
+             eq_tol: float = 1e-6) -> InequalityReport:
     """Evaluate one bound on one data point.
 
-    ``delta_path`` selects the delta computation: the optimizer (default)
-    or the exact dimension-3 eigenvalue oracle.  An unconverged optimizer
-    propagates as a flagged report, never a silent failure.
+    delta comes from :func:`~lagdelta.delta.delta_value`: the exact
+    eigenvalue oracle in dimension 3, the optimizer otherwise.  An
+    unconverged optimizer propagates as a flagged report, never a silent
+    failure.
     """
+    return _report(data, variant, tup, eq_tol,
+                   lambda: delta_value(gauss_curvature(data), tup, opts))
+
+
+def bound_report(data: LagrangianPointData, variant: InequalityVariant,
+                 tup: DeltaTuple, delta: float, eq_tol: float = 1e-6,
+                 diagnostics=None) -> InequalityReport:
+    """Compare a given delta value with one bound ``a * H^2 + b * c``.
+
+    ``diagnostics`` (the optimizer's, if it produced ``delta``) is carried
+    into the report unchanged.
+    """
+    return _report(data, variant, tup, eq_tol, lambda: (delta, diagnostics))
+
+
+def _report(data, variant, tup, eq_tol, delta_of) -> InequalityReport:
+    """Check the bound applies, then call ``delta_of()`` for
+    (delta, diagnostics), so an inadmissible bound costs no delta."""
     if variant == InequalityVariant.HYPERPLANE_FLAT and data.c != 0.0:
         raise Inadmissible("the flat hyperplane bound is stated for c = 0")
     if variant == InequalityVariant.HYPERPLANE_CP and data.c != 1.0:
         raise Inadmissible("the projective hyperplane bound is stated for c = 1")
     a, b = coefficients(variant, tup)
-    R = gauss_curvature(data)
-    diagnostics = None
-    if delta_path == "dim3":
-        delta = oracle_delta_dim3(R)
-    elif delta_path == "optimizer":
-        delta, _, diagnostics = delta_invariant(R, tup, opts)
-    else:
-        raise ValueError(f"unknown delta_path {delta_path!r}")
+    delta, diagnostics = delta_of()
     _, h2 = mean_curvature(data.h)
     rhs = a * h2 + b * data.c
     slack = rhs - delta
@@ -205,27 +218,27 @@ def _random_traceless_symmetric(q: int, rng: np.random.Generator,
     the sequential partial sum, so downstream index-order summation gives
     0.0 exactly.
     """
-    S = np.zeros((q, q, q))
-    for a in range(q):
-        for b in range(a, q):
-            for c in range(b, q):
-                val = scale * rng.standard_normal()
-                for idx in {(a, b, c), (a, c, b), (b, a, c),
-                            (b, c, a), (c, a, b), (c, b, a)}:
-                    S[idx] = val
+    triples = cubic_triples(q)
+    S = scatter_cubic(np.zeros((q, q, q)), triples,
+                      scale * rng.standard_normal(len(triples)))
     last = q - 1
     for g in range(q):
         partial = 0.0
         for a in range(q - 1):
             partial += S[a, a, g]
-        for idx in {(last, last, g), (last, g, last), (g, last, last)}:
-            S[idx] = -partial
+        scatter_cubic(S, [(g, last, last)], -partial)
     return S
 
 
-def _set_triple(h: np.ndarray, a: int, b: int, c: int, val: float):
-    for idx in {(a, b, c), (a, c, b), (b, a, c), (b, c, a), (c, a, b), (c, b, a)}:
-        h[idx] = val
+def _improved_mean_part(h: np.ndarray, tup: DeltaTuple, lam: float):
+    """Write the IMPROVED structure's entries carrying the mean curvature,
+    which lies along the first complement direction e_N (0-based)."""
+    m = tup.N
+    for block in tup.blocks():
+        scatter_cubic(h, [(a, a, m) for a in block],
+                      3.0 * lam / (2 + len(block)))
+    scatter_cubic(h, [(m, m, m)], 3.0 * lam)
+    scatter_cubic(h, [(m, u, u) for u in range(m + 1, tup.n)], lam)
 
 
 def synthesize_equality_data(tup: DeltaTuple, variant: InequalityVariant,
@@ -240,7 +253,7 @@ def synthesize_equality_data(tup: DeltaTuple, variant: InequalityVariant,
     exactly; the IMPROVED structure carries mean curvature along the first
     complement direction proportional to ``lam``.
     """
-    n, N = tup.n, tup.N
+    n = tup.n
     rng = np.random.default_rng([seed, n, len(tup.parts)])
     h = np.zeros((n, n, n))
 
@@ -254,22 +267,16 @@ def synthesize_equality_data(tup: DeltaTuple, variant: InequalityVariant,
             h[lo:lo + q, lo:lo + q, lo:lo + q] = S
     elif variant in (InequalityVariant.IMPROVED, InequalityVariant.K1):
         coefficients(InequalityVariant.IMPROVED, tup)
-        m = N  # first complement direction, 0-based
         for block in tup.blocks():
             q = len(block)
             S = _random_traceless_symmetric(q, rng, block_scale)
             lo = block[0]
             h[lo:lo + q, lo:lo + q, lo:lo + q] = S
-            for a in block:
-                _set_triple(h, a, a, m, 3.0 * lam / (2 + q))
-        _set_triple(h, m, m, m, 3.0 * lam)
-        for u in range(N + 1, n):
-            _set_triple(h, m, u, u, lam)
+        _improved_mean_part(h, tup, lam)
     elif variant == InequalityVariant.FIRST:
         if tup.parts != (2,):
             raise Inadmissible("the first-bound structure applies to tuple (2)")
-        _set_triple(h, 0, 0, 0, lam)
-        _set_triple(h, 0, 1, 1, -lam)
+        scatter_cubic(h, [(0, 0, 0), (0, 1, 1)], [lam, -lam])
     else:
         raise Inadmissible(f"no equality synthesis for variant {variant.value}")
 
@@ -309,19 +316,13 @@ def _pattern_target(h: np.ndarray, tup: DeltaTuple,
         for block in tup.blocks():
             fill_block(block)
     elif variant in (InequalityVariant.IMPROVED, InequalityVariant.K1):
-        m = N
-        lam = h[m, m, m] / 3.0
+        lam = h[N, N, N] / 3.0
         for block in tup.blocks():
             fill_block(block)
-            for a in block:
-                _set_triple(target, a, a, m, 3.0 * lam / (2 + len(block)))
-        _set_triple(target, m, m, m, 3.0 * lam)
-        for u in range(N + 1, n):
-            _set_triple(target, m, u, u, lam)
+        _improved_mean_part(target, tup, lam)
     elif variant == InequalityVariant.FIRST:
         lam = h[0, 0, 0]
-        _set_triple(target, 0, 0, 0, lam)
-        _set_triple(target, 0, 1, 1, -lam)
+        scatter_cubic(target, [(0, 0, 0), (0, 1, 1)], [lam, -lam])
     elif variant == InequalityVariant.OLD:
         # per-slice shape-operator pattern: block-diagonal blocks with a
         # common trace mu_A shared by the scalar diagonal
@@ -483,21 +484,20 @@ def soundness_audit(n: int, count: int, seed: int,
     Forms are drawn with one standard-normal coefficient per sorted triple
     at c = 0; the slack of every bound is invariant under shifting c, so
     nothing is lost.  Returns per-pair relative-slack minima plus the full
-    slack arrays keyed by (tuple parts, variant).
+    right-hand-side and slack arrays keyed by (tuple parts, variant).
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     opts = opts or OptimizerOptions(restarts=6)
     rng = np.random.default_rng([seed, n])
-    forms = [random_cubic_form(n, rng) for _ in range(count)]
-    dense = np.stack([f.dense() for f in forms])
-    comps = (np.einsum("sead,sebc->sabcd", dense, dense)
-             - np.einsum("sebd,seac->sabcd", dense, dense))
-    H = np.einsum("sabb->sa", dense) / n
-    h2 = np.einsum("sa,sa->s", H, H)
+    triples = cubic_triples(n)
+    dense = scatter_cubic(np.zeros((count, n, n, n)), triples,
+                          rng.standard_normal((count, len(triples))))
+    comps = gauss_components(dense, 0.0)
+    _, h2 = mean_curvature_dense(dense)
 
-    from .delta import enumerate_tuples
     pairs = []
+    rhss = {}
     slacks = {}
     deltas_by_tuple = {}
     for tup in enumerate_tuples(n):
@@ -522,6 +522,8 @@ def soundness_audit(n: int, count: int, seed: int,
                 "argmin_sample": worst,
                 "unconverged": n_unconv,
             })
+            rhss[(tup.parts, variant)] = rhs
             slacks[(tup.parts, variant)] = slack
     return {"n": n, "count": count, "seed": seed, "pairs": pairs,
-            "slacks": slacks, "deltas": deltas_by_tuple, "h2": h2}
+            "rhs": rhss, "slacks": slacks, "deltas": deltas_by_tuple,
+            "h2": h2}

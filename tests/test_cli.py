@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -63,6 +64,25 @@ class TestDelta:
         assert main(["delta", "--input", str(path), "--tuple", "2"]) == 2
         err = capsys.readouterr().err
         assert "line" in err
+
+    @pytest.mark.parametrize("value", ["NaN", "1e308"])
+    def test_non_finite_input_exits_2(self, tmp_path, capsys, value):
+        # NaN is rejected on input; 1e308 is finite but its Gauss products
+        # overflow, so the curvature tensor rejects it
+        path = tmp_path / "big.json"
+        path.write_text('{"n": 3, "c": 0.0, "h": [[1, 1, 1, %s]]}' % value)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["delta", "--input", str(path), "--tuple", "2"]) == 2
+        assert not caught  # a warning would reach stderr before the error
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "finite" in err
+        assert "Traceback" not in err
+
+    def test_unknown_example_exits_2(self, capsys):
+        assert main(["delta", "--example", "no-such-example",
+                     "--tuple", "2"]) == 2
+        assert capsys.readouterr().err.startswith("error: unknown example")
 
     def test_conflicting_sources(self, tmp_path):
         path = write_point(tmp_path, {"n": 3, "c": 0.0, "h": []})

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from lagdelta.exceptions import SymmetryViolation
-from lagdelta.cubic import (CubicForm, LagrangianPointData, gauss_curvature,
-                            mean_curvature, point_data_from_json,
-                            point_data_to_json, random_cubic_form,
-                            rotate_cubic, tau_from_cubic, validate_cubic)
+from lagdelta.cubic import (CubicForm, LagrangianPointData, cubic_triples,
+                            gauss_components, gauss_curvature,
+                            mean_curvature, mean_curvature_dense,
+                            point_data_from_json, point_data_to_json,
+                            random_cubic_form, rotate_cubic, scatter_cubic,
+                            symmetrize_cubic, tau_from_cubic, validate_cubic)
 from lagdelta.frames import rotate_tensor, scalar_tau, sectional_curvature
 
 LAM = 2.0 / np.sqrt(3.0)
@@ -46,6 +48,90 @@ class TestValidateCubic:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
             validate_cubic([(1, 1, 4, 1.0)], 3)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, value):
+        with pytest.raises(ValueError, match="not finite"):
+            validate_cubic([(1, 2, 2, value)], 3)
+
+
+class TestDenseCore:
+    """The batched core against per-point references written out here."""
+
+    def test_dense_matches_coeff(self):
+        rng = np.random.default_rng(4)
+        for n in range(2, 9):
+            form = random_cubic_form(n, rng)
+            h = form.dense()
+            for i in range(n):
+                for j in range(n):
+                    for k in range(n):
+                        assert h[i, j, k] == form.coeff(i + 1, j + 1, k + 1)
+
+    def test_random_form_is_scalar_draw_stream(self):
+        for n in (2, 5, 9):
+            scalar = np.random.default_rng(n)
+            expected = {(a, b, c): 0.5 * scalar.standard_normal()
+                        for a in range(1, n + 1) for b in range(a, n + 1)
+                        for c in range(b, n + 1)}
+            form = random_cubic_form(n, np.random.default_rng(n), scale=0.5)
+            assert form.coeffs == expected
+
+    def test_batch_equals_per_point(self):
+        rng = np.random.default_rng(8)
+        for n in range(3, 13):
+            forms = [random_cubic_form(n, rng) for _ in range(20)]
+            dense = np.stack([f.dense() for f in forms])
+            comps = gauss_components(dense, -0.6)
+            H, h2 = mean_curvature_dense(dense)
+            for s, form in enumerate(forms):
+                point = LagrangianPointData(n, -0.6, form)
+                assert np.array_equal(comps[s],
+                                      gauss_curvature(point).components)
+                Hp, h2p = mean_curvature(form)
+                assert np.array_equal(H[s], Hp) and h2[s] == h2p
+                # the index-order trace and H @ H of a single point
+                Href = np.zeros(n)
+                for a in range(n):
+                    acc = 0.0
+                    for b in range(n):
+                        acc += form.coeff(a + 1, b + 1, b + 1)
+                    Href[a] = acc / n
+                assert np.array_equal(Hp, Href) and h2p == Href @ Href
+
+    def test_gauss_matches_written_formula(self):
+        rng = np.random.default_rng(9)
+        for n in (3, 6):
+            h = random_cubic_form(n, rng).dense()
+            R = np.zeros((n,) * 4)
+            for a, b, c, d in np.ndindex(R.shape):
+                R[a, b, c, d] = (sum(h[e, a, d] * h[e, b, c]
+                                     - h[e, b, d] * h[e, a, c]
+                                     for e in range(n))
+                                 + 0.3 * ((a == d) * (b == c)
+                                          - (a == c) * (b == d)))
+            np.testing.assert_allclose(gauss_components(h, 0.3), R,
+                                       rtol=0, atol=1e-12)
+
+    def test_scatter_and_symmetrize(self):
+        n = 4
+        triples = cubic_triples(n)
+        assert len(triples) == n * (n + 1) * (n + 2) // 6
+        assert all(a <= b <= c for a, b, c in triples)
+        values = np.arange(1.0, len(triples) + 1)
+        h = scatter_cubic(np.zeros((2, n, n, n)), triples,
+                          np.stack([values, -values]))
+        for t, (a, b, c) in enumerate(triples):
+            for i, j, k in [(a, b, c), (c, a, b), (b, c, a), (a, c, b)]:
+                assert h[0, i, j, k] == values[t] == -h[1, i, j, k]
+        assert np.array_equal(symmetrize_cubic(h), h)
+        raw = np.random.default_rng(1).standard_normal((n, n, n))
+        sym = symmetrize_cubic(raw)
+        assert np.allclose(sym, sym.transpose(1, 0, 2))
+        assert np.allclose(sym, sym.transpose(0, 2, 1))
+        assert sym[0, 1, 2] == pytest.approx(
+            (raw[0, 1, 2] + raw[0, 2, 1] + raw[1, 0, 2] + raw[1, 2, 0]
+             + raw[2, 0, 1] + raw[2, 1, 0]) / 6.0)
 
 
 class TestGaussCurvature:

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
-from lagdelta.cubic import LagrangianPointData, mean_curvature, rotate_cubic
-from lagdelta.delta import DeltaTuple, OptimizerOptions, enumerate_tuples
+from lagdelta.cubic import (LagrangianPointData, gauss_curvature,
+                            mean_curvature, random_cubic_form, rotate_cubic)
+from lagdelta.delta import (DeltaTuple, OptimizerOptions, enumerate_tuples,
+                            oracle_delta_dim3)
 from lagdelta.exceptions import Inadmissible
 from lagdelta.inequalities import (InequalityVariant as V, admissible_variants,
-                                   coefficients, detect_equality_structure,
-                                   evaluate, select_improved, soundness_audit,
+                                   bound_report, coefficients,
+                                   detect_equality_structure, evaluate,
+                                   select_improved, soundness_audit,
                                    synthesize_equality_data)
 
 from test_cubic import berger_form, graph_equality_form
@@ -126,9 +129,28 @@ class TestEvaluate:
 
     def test_dim3_oracle_path(self):
         data = LagrangianPointData(3, 1.0, berger_form())
-        rep = evaluate(data, V.OPREA, DeltaTuple(3, (2,)), delta_path="dim3")
+        rep = evaluate(data, V.OPREA, DeltaTuple(3, (2,)))
         assert rep.delta == pytest.approx(2.0)
         assert rep.slack == pytest.approx(0.0, abs=1e-12)
+
+    def test_dim3_uses_exact_oracle(self):
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            data = LagrangianPointData(3, float(rng.uniform(-1, 1)),
+                                       random_cubic_form(3, rng))
+            rep = evaluate(data, V.OLD, DeltaTuple(3, (2,)))
+            assert rep.delta == oracle_delta_dim3(gauss_curvature(data))
+            assert rep.diagnostics is None
+
+    def test_bound_report_takes_given_delta(self):
+        data = LagrangianPointData(5, 0.0, graph_equality_form())
+        tup = DeltaTuple(5, (2,))
+        rep = bound_report(data, V.IMPROVED, tup, 11.375)
+        assert rep.delta == 11.375
+        assert rep.rhs == pytest.approx(11.375)
+        assert rep.equality and rep.diagnostics is None
+        with pytest.raises(Inadmissible):
+            bound_report(data, V.HIGH_A, tup, 11.375)
 
     def test_hyperplane_domain_guard(self):
         data = LagrangianPointData(3, 1.0, berger_form())
