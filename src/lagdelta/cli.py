@@ -13,7 +13,8 @@ import sys
 
 import numpy as np
 
-from .cubic import gauss_curvature, mean_curvature, point_data_from_json
+from .cubic import (MAX_N, gauss_curvature, mean_curvature,
+                    point_data_from_json)
 from .delta import (DeltaTuple, OptimizerOptions, delta_invariant,
                     oracle_delta_dim3, oracle_delta_grid)
 from .exceptions import ChartDomainError, HorizontalityError, Inadmissible
@@ -88,13 +89,22 @@ def _parse_tuple(spec: str, n: int) -> DeltaTuple:
 
 
 def _parse_n_spec(spec: str) -> list[int]:
-    if ".." in spec:
-        lo, hi = spec.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(spec)]
+    """Dimensions of ``--n``: one n or a range lo..hi, inside 3..MAX_N."""
+    try:
+        bounds = [int(tok) for tok in spec.split("..", 1)]
+    except ValueError:
+        raise ValueError(f"cannot parse --n {spec!r}") from None
+    lo, hi = bounds[0], bounds[-1]
+    if not 3 <= lo <= hi <= MAX_N:
+        raise ValueError(f"--n {spec!r} is not a dimension or an ascending "
+                         f"range inside 3..{MAX_N}")
+    return list(range(lo, hi + 1))
 
 
 def _cmd_verify(args) -> int:
+    if args.samples is not None and args.samples < 1:
+        print("error: --samples must be >= 1", file=sys.stderr)
+        return 2
     try:
         claims = run_example(args.example, samples=args.samples,
                              seed=args.seed)
@@ -141,6 +151,9 @@ def _cmd_delta(args) -> int:
     if bool(args.input) == bool(args.example):
         print("error: pass exactly one of --input or --example",
               file=sys.stderr)
+        return 2
+    if args.grid_resolution < 1:
+        print("error: --grid-resolution must be >= 1", file=sys.stderr)
         return 2
     try:
         if args.input:
@@ -231,8 +244,8 @@ def _cmd_delta(args) -> int:
 def _cmd_audit(args) -> int:
     try:
         ns = _parse_n_spec(args.n_spec)
-    except ValueError:
-        print(f"error: cannot parse --n {args.n_spec!r}", file=sys.stderr)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.count < 1:
         print("error: --count must be >= 1", file=sys.stderr)

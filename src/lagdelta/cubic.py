@@ -227,8 +227,16 @@ def random_cubic_form(n: int, rng: np.random.Generator,
     return CubicForm(n, dict(zip(map(tuple, (triples + 1).tolist()), values)))
 
 
+# Largest dimension the JSON schema accepts: the arrays are dense, n^3
+# entries for the cubic form and n^4 for the curvature tensor.
+MAX_N = 12
+
+
 def point_data_from_json(text: str) -> LagrangianPointData:
-    """Parse the input schema {"n": int, "c": real, "h": [[A,B,C,value],...]}."""
+    """Parse the input schema {"n": int, "c": real, "h": [[A,B,C,value],...]}.
+
+    ``n`` above ``MAX_N`` is rejected before any coefficient is read.
+    """
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -238,6 +246,9 @@ def point_data_from_json(text: str) -> LagrangianPointData:
         if key not in obj:
             raise ValueError(f"missing field {key!r}")
     n = int(obj["n"])
+    if n > MAX_N:
+        raise ValueError(f"dimension n = {n} exceeds the supported "
+                         f"maximum {MAX_N}")
     form = validate_cubic(obj["h"], n)
     return LagrangianPointData(n, float(obj["c"]), form,
                                source=str(obj.get("source", "")))

@@ -197,7 +197,16 @@ def _within_block_pairs(parts) -> list[tuple[int, int]]:
 
 
 class _PairSet:
-    """Precomputed index machinery for a block-pair objective at dimension n."""
+    """Precomputed index machinery for a block-pair objective at dimension n.
+
+    ``pairs`` lists the P frame-column pairs (a, b) that lie in a common
+    block; the objective sums their plane curvatures.  Array layouts: frames
+    Q are ``(B, n, n)``; the pair curvature operator M is ``(B, p, p)``, one
+    per frame, or ``(p, p)``, shared by the batch, with p = n(n-1)/2 the
+    lexicographic pair basis of ``frames.pair_basis``; the wedge coordinates
+    w of the column pairs are ``(B, p, P)``.  Every contraction is a
+    (batched) ``matmul``.
+    """
 
     def __init__(self, n: int, pairs):
         self.n = n
@@ -221,27 +230,25 @@ class _PairSet:
     def objective(self, Q: np.ndarray, M: np.ndarray) -> np.ndarray:
         """Sum of pair curvatures; Q (B, n, n), M (B, p, p) or (p, p)."""
         w = self.bivectors(Q)
-        if M.ndim == 2:
-            Mw = np.einsum("pq,bqP->bpP", M, w)
-        else:
-            Mw = np.einsum("bpq,bqP->bpP", M, w)
-        return np.einsum("bpP,bpP->b", w, Mw)
+        return (w * (M @ w)).sum(axis=(1, 2))
 
     def objective_grad(self, Q: np.ndarray, M: np.ndarray):
+        """Objective (B,) and its Euclidean gradient in Q (B, n, n)."""
         B, n = Q.shape[:2]
         U = Q[:, :, self.a]
         V = Q[:, :, self.b]
         w = (U[:, self.I, :] * V[:, self.J, :]
              - U[:, self.J, :] * V[:, self.I, :])
-        Mw = np.einsum("bpq,bqP->bpP", M, w)
-        f = np.einsum("bpP,bpP->b", w, Mw)
-        W = np.zeros((B, n, n, len(self.pairs)))
-        W[:, self.I, self.J, :] = Mw
-        W[:, self.J, self.I, :] = -Mw
-        Gu = 2.0 * np.einsum("bijP,bjP->biP", W, V)
-        Gv = -2.0 * np.einsum("bijP,bjP->biP", W, U)
-        G = np.einsum("biP,Pc->bic", Gu, self.Ea)
-        G += np.einsum("biP,Pc->bic", Gv, self.Eb)
+        Mw = M @ w
+        f = (w * Mw).sum(axis=(1, 2))
+        # per pair the antisymmetric W with W[i, j] = (Mw)_{ij}, i < j
+        MwT = np.swapaxes(Mw, 1, 2)
+        W = np.zeros((B, len(self.pairs), n, n))
+        W[:, :, self.I, self.J] = MwT
+        W[:, :, self.J, self.I] = -MwT
+        WVU = W @ np.swapaxes(np.stack((V, U), axis=-1), 1, 2)  # (B, P, n, 2)
+        G = 2.0 * (np.swapaxes(WVU[..., 0], 1, 2) @ self.Ea
+                   - np.swapaxes(WVU[..., 1], 1, 2) @ self.Eb)
         return f, G
 
 
@@ -611,6 +618,8 @@ def oracle_delta_grid(R: CurvatureTensor, tup: DeltaTuple, resolution: int,
     key = (n, tup.parts)
     if key not in _GRID_AXES:
         raise Inadmissible(f"grid oracle does not support tuple {tup} at n={n}")
+    if resolution < 1:
+        raise ValueError(f"grid resolution must be >= 1, got {resolution}")
     axes = _GRID_AXES[key]
     M = pair_curvature_operator(R.components)
     ps = _PairSet(n, _within_block_pairs(tup.parts))
@@ -622,7 +631,7 @@ def oracle_delta_grid(R: CurvatureTensor, tup: DeltaTuple, resolution: int,
     if len(axes) <= 3:
         prod = stacks[0]
         for st in stacks[1:]:
-            prod = np.einsum("aij,bjk->abik", prod, st).reshape(-1, n, n)
+            prod = (prod[:, None] @ st[None]).reshape(-1, n, n)
         fvals = ps.objective(prod, M)
         best = int(np.argmin(fvals))
         best_val = float(fvals[best])
@@ -632,15 +641,14 @@ def oracle_delta_grid(R: CurvatureTensor, tup: DeltaTuple, resolution: int,
         half = len(axes) // 2
         P1 = stacks[0]
         for st in stacks[1:half]:
-            P1 = np.einsum("aij,bjk->abik", P1, st).reshape(-1, n, n)
+            P1 = (P1[:, None] @ st[None]).reshape(-1, n, n)
         P2 = stacks[half]
         for st in stacks[half + 1:]:
-            P2 = np.einsum("aij,bjk->abik", P2, st).reshape(-1, n, n)
+            P2 = (P2[:, None] @ st[None]).reshape(-1, n, n)
         best_val, best_flat = np.inf, (0, 0)
         chunk = max(1, 2_000_000 // (len(P2) * n * n))
         for lo in range(0, len(P1), chunk):
-            Qb = np.einsum("aij,bjk->abik", P1[lo:lo + chunk], P2)
-            Qb = Qb.reshape(-1, n, n)
+            Qb = (P1[lo:lo + chunk, None] @ P2[None]).reshape(-1, n, n)
             fvals = ps.objective(Qb, M)
             arg = int(np.argmin(fvals))
             if fvals[arg] < best_val:

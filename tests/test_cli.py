@@ -27,6 +27,13 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "[pass]" in out
 
+    @pytest.mark.parametrize("samples", ["0", "-1"])
+    def test_samples_below_one_exits_2(self, capsys, samples):
+        assert main(["verify", "thm-9.2", "--samples", samples]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --samples")
+        assert captured.out == ""  # no claim was run
+
     def test_json_report_written(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         assert main(["verify", "exotic-s3", "--samples", "5",
@@ -79,6 +86,20 @@ class TestDelta:
         assert err.startswith("error:") and "finite" in err
         assert "Traceback" not in err
 
+    def test_grid_resolution_zero_exits_2(self, tmp_path, capsys):
+        path = write_point(tmp_path, {"n": 4, "c": 0.0, "h": []})
+        assert main(["delta", "--input", path, "--tuple", "2", "--oracle",
+                     "--grid-resolution", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --grid-resolution")
+        assert captured.out == ""  # rejected before the optimizer ran
+
+    def test_dimension_above_12_exits_2(self, tmp_path, capsys):
+        path = write_point(tmp_path, {"n": 13, "c": 0.0, "h": [[1, 1, 1, 1]]})
+        assert main(["delta", "--input", path, "--tuple", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "12" in err
+
     def test_unknown_example_exits_2(self, capsys):
         assert main(["delta", "--example", "no-such-example",
                      "--tuple", "2"]) == 2
@@ -125,6 +146,13 @@ class TestAudit:
 
     def test_count_zero_exits_2(self):
         assert main(["audit", "--n", "3", "--count", "0"]) == 2
+
+    @pytest.mark.parametrize("spec", ["13", "3..13"])
+    def test_n_above_12_exits_2(self, capsys, spec):
+        assert main(["audit", "--n", spec, "--count", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --n") and "3..12" in captured.err
+        assert captured.out == ""  # rejected before any sweep ran
 
     def test_bad_variant_exits_2(self):
         assert main(["audit", "--n", "3", "--count", "5",

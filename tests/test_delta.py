@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,11 @@ from lagdelta.delta import (DeltaTuple, OptimizerOptions, SubspaceConfig,
                             config_objective, delta_invariant,
                             delta_invariant_batch, enumerate_tuples,
                             oracle_delta_dim3, oracle_delta_grid)
+from lagdelta.delta import (_GRID_AXES, _PairSet, _frame_from_angles,
+                            _random_orthogonal, _within_block_pairs)
 from lagdelta.exceptions import Inadmissible
-from lagdelta.frames import constant_curvature, rotate_tensor, scalar_tau
+from lagdelta.frames import (constant_curvature, pair_curvature_operator,
+                             rotate_tensor, scalar_tau)
 
 from test_frames import berger_sphere_tensor, random_tensor
 from test_cubic import graph_equality_form
@@ -169,6 +174,11 @@ class TestOracleGrid:
                 assert grid_val >= opt_val - 1e-3
                 assert grid_val <= opt_val + 5e-3
 
+    def test_resolution_below_one_rejected(self):
+        with pytest.raises(ValueError, match="resolution"):
+            oracle_delta_grid(constant_curvature(4, 1.0),
+                              DeltaTuple(4, (2,)), 0)
+
     def test_large_n_rejected(self):
         with pytest.raises(Inadmissible):
             oracle_delta_grid(constant_curvature(5, 1.0),
@@ -186,3 +196,76 @@ class TestBatch:
             single, _, _ = delta_invariant(
                 CurvatureTensor(4, comps[s]), tup, FAST)
             assert vals[s] == pytest.approx(single, abs=1e-8)
+
+
+def _cayley(X):
+    eye = np.eye(X.shape[-1])
+    return np.linalg.solve(eye - 0.5 * X, eye + 0.5 * X)
+
+
+class TestPairSetContractions:
+    """The optimizer's contractions against independent references."""
+
+    CASES = [(4, (2,)), (4, (2, 2)), (5, (2, 3)), (6, (4,)), (7, (2, 2, 3)),
+             (8, (3, 5)), (9, (2,)), (9, (2, 3, 4))]
+
+    @pytest.mark.parametrize("n,parts", CASES)
+    def test_objective_equals_config_objective(self, n, parts):
+        rng = np.random.default_rng([n, len(parts)])
+        tensors = [random_tensor(n, rng) for _ in range(3)]
+        Q = _random_orthogonal(rng, (3,), n)
+        ps = _PairSet(n, _within_block_pairs(parts))
+        blocks = DeltaTuple(n, parts).blocks()
+        ref = [config_objective(R, SubspaceConfig(Q[s], blocks))
+               for s, R in enumerate(tensors)]
+        M = pair_curvature_operator(np.stack([R.components for R in tensors]))
+        np.testing.assert_allclose(ps.objective(Q, M), ref,
+                                   rtol=1e-12, atol=1e-12)
+        # one shared (p, p) operator for the whole batch, as the grid uses
+        shared = [config_objective(tensors[0], SubspaceConfig(q, blocks))
+                  for q in Q]
+        np.testing.assert_allclose(ps.objective(Q, M[0]), shared,
+                                   rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("n,parts", CASES)
+    def test_gradient_matches_finite_difference(self, n, parts):
+        rng = np.random.default_rng([n, 7, len(parts)])
+        B = 3
+        M = pair_curvature_operator(np.stack(
+            [random_tensor(n, rng).components for _ in range(B)]))
+        Q = _random_orthogonal(rng, (B,), n)
+        ps = _PairSet(n, _within_block_pairs(parts))
+        f, G = ps.objective_grad(Q, M)
+        np.testing.assert_allclose(f, ps.objective(Q, M), rtol=1e-13)
+        QtG = np.swapaxes(Q, -1, -2) @ G
+        A = 0.5 * (QtG - np.swapaxes(QtG, -1, -2))
+        X = rng.standard_normal((B, n, n))
+        X = X - np.swapaxes(X, -1, -2)
+        # d/dt f(Q cayley(tX)) at t = 0 is <Q^T G, X> = <skew(Q^T G), X>
+        t = 1e-5
+        fd = (ps.objective(Q @ _cayley(t * X), M)
+              - ps.objective(Q @ _cayley(-t * X), M)) / (2 * t)
+        exact = np.einsum("bij,bij->b", A, X)
+        scale = 1.0 + np.abs(f) + np.abs(exact)
+        assert np.all(np.abs(fd - exact) <= 1e-6 * scale)
+
+
+class TestGridFrameProducts:
+    """The grid oracle's minimum over the same angle grid, with every frame
+    multiplied out one Givens rotation at a time."""
+
+    @pytest.mark.parametrize("n,parts,resolution",
+                             [(3, (2,), 9), (4, (2,), 5), (4, (2, 2), 5),
+                              (4, (3,), 5)])
+    def test_grid_minimum_equals_explicit_products(self, n, parts, resolution):
+        R = random_tensor(n, np.random.default_rng([n, resolution, *parts]))
+        tup = DeltaTuple(n, parts)
+        axes = _GRID_AXES[(n, parts)]
+        thetas = np.pi * np.arange(resolution) / resolution
+        best = min(
+            config_objective(R, SubspaceConfig(
+                _frame_from_angles(n, axes, angles), tup.blocks()))
+            for angles in itertools.product(thetas, repeat=len(axes)))
+        grid = oracle_delta_grid(R, tup, resolution, polish=False)
+        expected = scalar_tau(R) - best
+        assert grid == pytest.approx(expected, rel=1e-12, abs=1e-12)
