@@ -15,8 +15,8 @@ import numpy as np
 
 from .cubic import (MAX_N, gauss_curvature, mean_curvature,
                     point_data_from_json)
-from .delta import (DeltaTuple, OptimizerOptions, delta_invariant,
-                    oracle_delta_dim3, oracle_delta_grid)
+from .delta import (MAX_GRID_RESOLUTION, DeltaTuple, OptimizerOptions,
+                    delta_invariant, oracle_delta_dim3, oracle_delta_grid)
 from .exceptions import ChartDomainError, HorizontalityError, Inadmissible
 from .frames import scalar_tau
 from .gallery import example_names, example_point_data, run_example
@@ -24,6 +24,11 @@ from .inequalities import (InequalityVariant, bound_report, select_improved,
                            soundness_audit)
 
 __all__ = ["main"]
+
+# Element budget of one optimizer run: its largest array, the per-pair
+# gradient scratch, holds at most count * restarts * n**4 / 2 floats, so
+# the budget keeps it under 200 MB.
+MAX_BATCH_ELEMENTS = 50_000_000
 
 
 def _format_float(x: float) -> str:
@@ -101,6 +106,18 @@ def _parse_n_spec(spec: str) -> list[int]:
     return list(range(lo, hi + 1))
 
 
+def _batch_error(count: int, restarts: int, n: int) -> str | None:
+    """Why a run of ``count`` samples with ``restarts`` starts each at
+    dimension n is refused, or None when it fits the element budget."""
+    if restarts < 1:
+        return "--restarts must be >= 1"
+    if count * restarts * n ** 4 > MAX_BATCH_ELEMENTS:
+        return (f"count * restarts * n**4 = {count * restarts * n ** 4} "
+                f"exceeds the budget of {MAX_BATCH_ELEMENTS} elements; "
+                f"lower --count or --restarts")
+    return None
+
+
 def _cmd_verify(args) -> int:
     if args.samples is not None and args.samples < 1:
         print("error: --samples must be >= 1", file=sys.stderr)
@@ -152,8 +169,9 @@ def _cmd_delta(args) -> int:
         print("error: pass exactly one of --input or --example",
               file=sys.stderr)
         return 2
-    if args.grid_resolution < 1:
-        print("error: --grid-resolution must be >= 1", file=sys.stderr)
+    if not 1 <= args.grid_resolution <= MAX_GRID_RESOLUTION:
+        print(f"error: --grid-resolution must be in 1..{MAX_GRID_RESOLUTION}",
+              file=sys.stderr)
         return 2
     try:
         if args.input:
@@ -168,6 +186,10 @@ def _cmd_delta(args) -> int:
         return 2
     except (OSError, ValueError) as exc:  # unreadable or invalid input
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    error = _batch_error(1, args.restarts, data.n)
+    if error:
+        print(f"error: {error}", file=sys.stderr)
         return 2
 
     opts = OptimizerOptions(restarts=args.restarts, max_iters=args.max_iters,
@@ -249,6 +271,10 @@ def _cmd_audit(args) -> int:
         return 2
     if args.count < 1:
         print("error: --count must be >= 1", file=sys.stderr)
+        return 2
+    error = _batch_error(args.count, args.restarts, ns[-1])
+    if error:
+        print(f"error: {error}", file=sys.stderr)
         return 2
     variants = None
     if args.variants:

@@ -202,10 +202,10 @@ class _PairSet:
     ``pairs`` lists the P frame-column pairs (a, b) that lie in a common
     block; the objective sums their plane curvatures.  Array layouts: frames
     Q are ``(B, n, n)``; the pair curvature operator M is ``(B, p, p)``, one
-    per frame, or ``(p, p)``, shared by the batch, with p = n(n-1)/2 the
-    lexicographic pair basis of ``frames.pair_basis``; the wedge coordinates
-    w of the column pairs are ``(B, p, P)``.  Every contraction is a
-    (batched) ``matmul``.
+    per frame (a ``(p, p)`` M broadcasts over the batch), with p = n(n-1)/2
+    the lexicographic pair basis of ``frames.pair_basis``; the wedge
+    coordinates w of the column pairs are ``(B, p, P)``.  Every contraction
+    is a (batched) ``matmul``.  The grid oracle does not use this class.
     """
 
     def __init__(self, n: int, pairs):
@@ -572,6 +572,11 @@ def delta_value(R: CurvatureTensor, tup: DeltaTuple,
     return value, diagnostics
 
 
+# Largest accepted grid resolution.  The n = 4 grid has resolution**4
+# frames; at the cap its GEMM is about 2e10 flops over arrays of a few
+# megabytes, and larger values would only buy time, not accuracy.
+MAX_GRID_RESOLUTION = 128
+
 # Rotation-angle products covering the configuration spaces for n <= 4.
 # Built from the CS decomposition relative to the canonical blocks: within-
 # block rotations first, then the principal-angle plane rotations.
@@ -599,6 +604,27 @@ def _frame_from_angles(n, axes, angles):
     return Q
 
 
+def _second_compound(Q: np.ndarray, I, J) -> np.ndarray:
+    """Batched second compound C2(Q): the 2x2 minors of ``(..., n, n)``
+    matrices, rows and columns in the pair basis ``(I, J) = pair_basis(n)``.
+
+    Column (a, b) of C2(Q) holds the wedge coordinates of q_a ^ q_b, and
+    C2(AB) = C2(A) C2(B) (Cauchy-Binet).
+    """
+    U, V = Q[..., I, :], Q[..., J, :]
+    return U[..., I] * V[..., J] - U[..., J] * V[..., I]
+
+
+def _rotation_products(n, axes, thetas):
+    """Frames G(axes[0], t_0) ... G(axes[-1], t_k) for every combination of
+    angles from ``thetas``: (len(thetas)**len(axes), n, n), C order."""
+    P = np.eye(n)[None]
+    for i, j in axes:
+        G = np.stack([_givens(n, i, j, t) for t in thetas])
+        P = (P[:, None] @ G[None]).reshape(-1, n, n)
+    return P
+
+
 def oracle_delta_grid(R: CurvatureTensor, tup: DeltaTuple, resolution: int,
                       polish: bool = True) -> float:
     """Brute-force delta over a deterministic grid of orthogonal frames.
@@ -608,7 +634,9 @@ def oracle_delta_grid(R: CurvatureTensor, tup: DeltaTuple, resolution: int,
     assignments are absorbed into the frame grid.  The grid minimum is an
     upper bound on the true inf that converges as the resolution grows; the
     optional deterministic Nelder-Mead polish from the best grid point
-    tightens it without touching the main optimizer's machinery.
+    tightens it.  Both evaluate frames through second compound matrices
+    (``_second_compound``), a path that shares no code with the
+    optimizer's.
     """
     n = R.n
     if n > 4:
@@ -618,53 +646,45 @@ def oracle_delta_grid(R: CurvatureTensor, tup: DeltaTuple, resolution: int,
     key = (n, tup.parts)
     if key not in _GRID_AXES:
         raise Inadmissible(f"grid oracle does not support tuple {tup} at n={n}")
-    if resolution < 1:
-        raise ValueError(f"grid resolution must be >= 1, got {resolution}")
+    if not 1 <= resolution <= MAX_GRID_RESOLUTION:
+        raise ValueError(f"grid resolution must be in 1..{MAX_GRID_RESOLUTION}"
+                         f", got {resolution}")
     axes = _GRID_AXES[key]
     M = pair_curvature_operator(R.components)
-    ps = _PairSet(n, _within_block_pairs(tup.parts))
+    I, J = pair_basis(n)
+    labels = np.full(n, -1)  # block of each frame column, -1 for the rest
+    labels[:tup.N] = np.repeat(np.arange(tup.k), tup.parts)
+    within = (labels[I] == labels[J]) & (labels[I] >= 0)
 
     thetas = np.pi * np.arange(resolution) / resolution
-    stacks = [np.stack([_givens(n, i, j, t) for t in thetas])
-              for (i, j) in axes]
-
-    if len(axes) <= 3:
-        prod = stacks[0]
-        for st in stacks[1:]:
-            prod = (prod[:, None] @ st[None]).reshape(-1, n, n)
-        fvals = ps.objective(prod, M)
-        best = int(np.argmin(fvals))
-        best_val = float(fvals[best])
-        idx = np.unravel_index(best, (resolution,) * len(axes))
-        best_angles = [thetas[i] for i in idx]
-    else:
-        half = len(axes) // 2
-        P1 = stacks[0]
-        for st in stacks[1:half]:
-            P1 = (P1[:, None] @ st[None]).reshape(-1, n, n)
-        P2 = stacks[half]
-        for st in stacks[half + 1:]:
-            P2 = (P2[:, None] @ st[None]).reshape(-1, n, n)
-        best_val, best_flat = np.inf, (0, 0)
-        chunk = max(1, 2_000_000 // (len(P2) * n * n))
-        for lo in range(0, len(P1), chunk):
-            Qb = (P1[lo:lo + chunk, None] @ P2[None]).reshape(-1, n, n)
-            fvals = ps.objective(Qb, M)
-            arg = int(np.argmin(fvals))
-            if fvals[arg] < best_val:
-                best_val = float(fvals[arg])
-                a, b = divmod(arg, len(P2))
-                best_flat = (lo + a, b)
-        i1 = np.unravel_index(best_flat[0], (resolution,) * half)
-        i2 = np.unravel_index(best_flat[1], (resolution,) * (len(axes) - half))
-        best_angles = [thetas[i] for i in i1] + [thetas[i] for i in i2]
+    # frame P1_i P2_j of the two half-grids: by Cauchy-Binet its objective
+    # is <C2(P1_i)^T M C2(P1_i), Y_j Y_j^T>_F, Y_j the within-block
+    # columns of C2(P2_j), so the whole grid is one GEMM of the two factors
+    half = len(axes) // 2
+    P1 = _rotation_products(n, axes[:half], thetas)
+    P2 = _rotation_products(n, axes[half:], thetas)
+    C1 = _second_compound(P1, I, J)
+    Y = _second_compound(P2, I, J)[..., within]
+    left = (np.swapaxes(C1, -1, -2) @ M @ C1).reshape(len(C1), -1)
+    right = (Y @ np.swapaxes(Y, -1, -2)).reshape(len(Y), -1)
+    best_val, best_flat = np.inf, 0
+    chunk = max(1, 2_000_000 // len(right))
+    for lo in range(0, len(left), chunk):
+        fvals = left[lo:lo + chunk] @ right.T
+        arg = int(np.argmin(fvals))
+        if fvals.flat[arg] < best_val:
+            best_val = float(fvals.flat[arg])
+            best_flat = lo * len(right) + arg
+    idx = np.unravel_index(best_flat, (resolution,) * len(axes))
+    best_angles = thetas[list(idx)]
 
     if polish:
-        def fun(theta):
+        def fun(theta):  # the same objective for one frame, unfactored
             Q = _frame_from_angles(n, axes, theta)
-            return ps.objective(Q[None], M)[0]
+            C = _second_compound(Q, I, J)[:, within]
+            return float((C * (M @ C)).sum())
 
-        res = _scipy_minimize(fun, np.array(best_angles), method="Nelder-Mead",
+        res = _scipy_minimize(fun, best_angles, method="Nelder-Mead",
                               options={"xatol": 1e-10, "fatol": 1e-12,
                                        "maxiter": 4000})
         best_val = min(best_val, float(res.fun))

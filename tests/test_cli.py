@@ -4,7 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from lagdelta.cli import main
+from lagdelta.cli import MAX_BATCH_ELEMENTS, main
+from lagdelta.delta import MAX_GRID_RESOLUTION
 
 
 def write_point(tmp_path, obj, name="data.json"):
@@ -94,6 +95,33 @@ class TestDelta:
         assert captured.err.startswith("error: --grid-resolution")
         assert captured.out == ""  # rejected before the optimizer ran
 
+    def test_grid_resolution_above_cap_exits_2(self, tmp_path, capsys):
+        path = write_point(tmp_path, {"n": 4, "c": 0.0, "h": []})
+        assert main(["delta", "--input", path, "--tuple", "2", "--oracle",
+                     "--grid-resolution", str(MAX_GRID_RESOLUTION + 1)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --grid-resolution")
+        assert str(MAX_GRID_RESOLUTION) in captured.err
+        assert captured.out == ""  # rejected before the optimizer ran
+
+    @pytest.mark.parametrize("restarts", ["0", "-1"])
+    def test_restarts_below_one_exits_2(self, tmp_path, capsys, restarts):
+        path = write_point(tmp_path, {"n": 4, "c": 0.0, "h": []})
+        assert main(["delta", "--input", path, "--tuple", "2",
+                     "--restarts", restarts]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --restarts")
+        assert captured.out == ""
+
+    def test_restarts_over_budget_exits_2(self, tmp_path, capsys):
+        path = write_point(tmp_path, {"n": 12, "c": 0.0, "h": []})
+        restarts = MAX_BATCH_ELEMENTS // 12 ** 4 + 1
+        assert main(["delta", "--input", path, "--tuple", "2",
+                     "--restarts", str(restarts)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "budget" in captured.err
+        assert captured.out == ""
+
     def test_dimension_above_12_exits_2(self, tmp_path, capsys):
         path = write_point(tmp_path, {"n": 13, "c": 0.0, "h": [[1, 1, 1, 1]]})
         assert main(["delta", "--input", path, "--tuple", "2"]) == 2
@@ -152,6 +180,25 @@ class TestAudit:
         assert main(["audit", "--n", spec, "--count", "1"]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: --n") and "3..12" in captured.err
+        assert captured.out == ""  # rejected before any sweep ran
+
+    @pytest.mark.parametrize("restarts", ["0", "-1"])
+    def test_restarts_below_one_exits_2(self, capsys, restarts):
+        assert main(["audit", "--n", "3", "--count", "5",
+                     "--restarts", restarts]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --restarts")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("spec,count,restarts", [
+        ("12", MAX_BATCH_ELEMENTS // (6 * 12 ** 4) + 1, "6"),
+        ("3..12", 1, str(MAX_BATCH_ELEMENTS // 12 ** 4 + 1)),
+    ])
+    def test_size_over_budget_exits_2(self, capsys, spec, count, restarts):
+        assert main(["audit", "--n", spec, "--count", str(count),
+                     "--restarts", restarts]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "budget" in captured.err
         assert captured.out == ""  # rejected before any sweep ran
 
     def test_bad_variant_exits_2(self):

@@ -8,11 +8,13 @@ from lagdelta.delta import (DeltaTuple, OptimizerOptions, SubspaceConfig,
                             config_objective, delta_invariant,
                             delta_invariant_batch, enumerate_tuples,
                             oracle_delta_dim3, oracle_delta_grid)
-from lagdelta.delta import (_GRID_AXES, _PairSet, _frame_from_angles,
-                            _random_orthogonal, _within_block_pairs)
+from lagdelta.delta import (MAX_GRID_RESOLUTION, _GRID_AXES, _PairSet,
+                            _frame_from_angles, _random_orthogonal,
+                            _second_compound, _within_block_pairs)
 from lagdelta.exceptions import Inadmissible
-from lagdelta.frames import (constant_curvature, pair_curvature_operator,
-                             rotate_tensor, scalar_tau)
+from lagdelta.frames import (constant_curvature, pair_basis,
+                             pair_curvature_operator, rotate_tensor,
+                             scalar_tau)
 
 from test_frames import berger_sphere_tensor, random_tensor
 from test_cubic import graph_equality_form
@@ -179,6 +181,21 @@ class TestOracleGrid:
             oracle_delta_grid(constant_curvature(4, 1.0),
                               DeltaTuple(4, (2,)), 0)
 
+    def test_resolution_above_cap_rejected(self):
+        with pytest.raises(ValueError, match=str(MAX_GRID_RESOLUTION)):
+            oracle_delta_grid(constant_curvature(4, 1.0),
+                              DeltaTuple(4, (2,)), MAX_GRID_RESOLUTION + 1)
+
+    @pytest.mark.parametrize("n,parts", sorted(_GRID_AXES))
+    def test_polish_never_lowers_delta(self, n, parts):
+        rng = np.random.default_rng([n, 11, *parts])
+        tup = DeltaTuple(n, parts)
+        for _ in range(3):
+            R = random_tensor(n, rng)
+            for resolution in (3, 8):
+                assert (oracle_delta_grid(R, tup, resolution)
+                        >= oracle_delta_grid(R, tup, resolution, polish=False))
+
     def test_large_n_rejected(self):
         with pytest.raises(Inadmissible):
             oracle_delta_grid(constant_curvature(5, 1.0),
@@ -221,7 +238,7 @@ class TestPairSetContractions:
         M = pair_curvature_operator(np.stack([R.components for R in tensors]))
         np.testing.assert_allclose(ps.objective(Q, M), ref,
                                    rtol=1e-12, atol=1e-12)
-        # one shared (p, p) operator for the whole batch, as the grid uses
+        # one shared (p, p) operator for the whole batch
         shared = [config_objective(tensors[0], SubspaceConfig(q, blocks))
                   for q in Q]
         np.testing.assert_allclose(ps.objective(Q, M[0]), shared,
@@ -269,3 +286,40 @@ class TestGridFrameProducts:
         grid = oracle_delta_grid(R, tup, resolution, polish=False)
         expected = scalar_tau(R) - best
         assert grid == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+def _within_columns(n, parts):
+    """Pair-basis columns (a, b) whose frame columns share a block."""
+    I, J = pair_basis(n)
+    blocks = DeltaTuple(n, parts).blocks()
+    return np.array([any(a in b and c in b for b in blocks)
+                     for a, c in zip(I, J)])
+
+
+class TestSecondCompound:
+    """The grid oracle's compound-matrix evaluation against references."""
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_cauchy_binet(self, n):
+        rng = np.random.default_rng([n, 21])
+        I, J = pair_basis(n)
+        A = rng.standard_normal((5, n, n))
+        B = rng.standard_normal((5, n, n))
+        np.testing.assert_allclose(
+            _second_compound(A @ B, I, J),
+            _second_compound(A, I, J) @ _second_compound(B, I, J),
+            rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("n,parts", sorted(_GRID_AXES))
+    def test_diagonal_sum_equals_config_objective(self, n, parts):
+        rng = np.random.default_rng([n, 22, *parts])
+        R = random_tensor(n, rng)
+        M = pair_curvature_operator(R.components)
+        within = _within_columns(n, parts)
+        blocks = DeltaTuple(n, parts).blocks()
+        Q = _random_orthogonal(rng, (4,), n)
+        C = _second_compound(Q, *pair_basis(n))
+        diag = np.diagonal(np.swapaxes(C, -1, -2) @ M @ C, axis1=-2, axis2=-1)
+        ref = [config_objective(R, SubspaceConfig(q, blocks)) for q in Q]
+        np.testing.assert_allclose(diag[:, within].sum(axis=-1), ref,
+                                   rtol=1e-12, atol=1e-12)
