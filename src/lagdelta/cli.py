@@ -192,8 +192,12 @@ def _cmd_delta(args) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
 
-    opts = OptimizerOptions(restarts=args.restarts, max_iters=args.max_iters,
-                            seed=args.seed)
+    try:
+        opts = OptimizerOptions(restarts=args.restarts,
+                                max_iters=args.max_iters, seed=args.seed)
+    except ValueError as exc:  # --max-iters below 1
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     value, config, diag = delta_invariant(R, tup, opts)
     _, h2 = mean_curvature(data.h)
 

@@ -11,12 +11,12 @@ n <= 4) back it up in tests.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize as _scipy_minimize
 
+from .cubic import MAX_N
 from .exceptions import Inadmissible
 from .frames import (CurvatureTensor, pair_basis, pair_curvature_operator,
                      scalar_tau, tau_subspace)
@@ -145,13 +145,26 @@ def config_objective(R: CurvatureTensor, config: SubspaceConfig) -> float:
 
 @dataclass(frozen=True)
 class OptimizerOptions:
+    """Descents per sample, iterations per descent, random-start seed."""
+
     restarts: int = 32
     max_iters: int = 1000
     seed: int = 0
-    gtol: float = 3e-8
-    stall_tol: float = 1e-12
-    stall_iters: int = 20
-    assignment_rounds: int = 2
+
+    def __post_init__(self):
+        if self.restarts < 1:
+            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+
+
+# A descent ends when its gradient norm falls to _GTOL, or when f drops by
+# less than _STALL_TOL over _STALL_ITERS iterations, both relative to 1 + |f|.
+_GTOL = 3e-8
+_STALL_TOL = 1e-12
+_STALL_ITERS = 20
+_ASSIGNMENT_ROUNDS = 2  # polish-and-descend rounds after the restarts
+_CHUNK_ENTRIES = 2_000_000  # per block of the grid GEMM and assignment gather
 
 
 @dataclass
@@ -220,12 +233,14 @@ class _PairSet:
         self.Ea[np.arange(P), self.a] = 1.0
         self.Eb[np.arange(P), self.b] = 1.0
 
-    def bivectors(self, Q: np.ndarray) -> np.ndarray:
-        """Wedge coordinates of each block pair: (B, p, P)."""
-        U = Q[:, :, self.a]
-        V = Q[:, :, self.b]
+    def _wedge(self, U: np.ndarray, V: np.ndarray) -> np.ndarray:
+        """Wedge coordinates (B, p, P) of the column pairs u_k ^ v_k."""
         return (U[:, self.I, :] * V[:, self.J, :]
                 - U[:, self.J, :] * V[:, self.I, :])
+
+    def bivectors(self, Q: np.ndarray) -> np.ndarray:
+        """Wedge coordinates of each block pair: (B, p, P)."""
+        return self._wedge(Q[:, :, self.a], Q[:, :, self.b])
 
     def objective(self, Q: np.ndarray, M: np.ndarray) -> np.ndarray:
         """Sum of pair curvatures; Q (B, n, n), M (B, p, p) or (p, p)."""
@@ -237,8 +252,7 @@ class _PairSet:
         B, n = Q.shape[:2]
         U = Q[:, :, self.a]
         V = Q[:, :, self.b]
-        w = (U[:, self.I, :] * V[:, self.J, :]
-             - U[:, self.J, :] * V[:, self.I, :])
+        w = self._wedge(U, V)
         Mw = M @ w
         f = (w * Mw).sum(axis=(1, 2))
         # per pair the antisymmetric W with W[i, j] = (Mw)_{ij}, i < j
@@ -283,10 +297,10 @@ def _descend(Q0, M0, ps: _PairSet, opts: OptimizerOptions):
         A = 0.5 * (QtG - np.swapaxes(QtG, -1, -2))
         g2 = np.einsum("bij,bij->b", A, A)
 
-        finished = (g2 <= (opts.gtol * scale) ** 2) | dead
-        window_end = (it % opts.stall_iters) == opts.stall_iters - 1
+        finished = (g2 <= (_GTOL * scale) ** 2) | dead
+        window_end = (it % _STALL_ITERS) == _STALL_ITERS - 1
         if window_end:
-            finished |= (snap - f) < opts.stall_tol * scale
+            finished |= (snap - f) < _STALL_TOL * scale
         if finished.any():
             sel = np.flatnonzero(finished)
             out_Q[idx[sel]] = Q[sel]
@@ -331,102 +345,55 @@ def _descend(Q0, M0, ps: _PairSet, opts: OptimizerOptions):
     return out_Q, out_f, out_conv, iterations
 
 
-def _assignment_count(n: int, parts) -> int:
-    count, remaining = 1, n
-    for p in parts:
-        count *= math.comb(remaining, p)
-        remaining -= p
-    for _, group in itertools.groupby(parts):
-        count //= math.factorial(len(list(group)))
-    return count
+def _assignment_table(n: int, parts):
+    """Every assignment of the n frame columns to blocks of sizes ``parts``.
 
-
-def _enumerate_assignments(n: int, parts):
-    """Disjoint index blocks of the given sizes, lexicographic order.
-
-    Blocks of equal size are deduplicated by requiring their minimal
-    elements to increase.
+    Rows are in lexicographic order of the blocks, equal-size blocks by
+    increasing first column.  ``orders (A, n)`` lists each assignment's
+    columns block by block, then the unassigned ones increasing; ``table
+    (A, P)`` holds the pair-basis index of each within-block pair, in
+    ``_within_block_pairs`` order.  Both are int8, which keeps the largest
+    table (415 800 rows at n = 12) a few megabytes.
     """
-    def rec(available, idx, prev_size, prev_min):
-        if idx == len(parts):
-            yield ()
-            return
-        p = parts[idx]
-        for comb in itertools.combinations(available, p):
-            if p == prev_size and comb[0] < prev_min:
-                continue
-            rest = tuple(i for i in available if i not in comb)
-            for tail in rec(rest, idx + 1, p, comb[0]):
-                yield (comb,) + tail
-
-    yield from rec(tuple(range(n)), 0, -1, -1)
-
-
-def _pairwise_curvatures(Q: np.ndarray, M: np.ndarray, I, J) -> np.ndarray:
-    """Matrix of K(q_c, q_d) for all column pairs of one frame."""
-    n = Q.shape[0]
-    U = Q[:, I]
-    V = Q[:, J]
-    w = U[I, :] * V[J, :] - U[J, :] * V[I, :]  # (p, P) with P = all pairs
-    vals = np.einsum("pP,pq,qP->P", w, M, w)
-    K = np.zeros((n, n))
-    K[I, J] = vals
-    K[J, I] = vals
-    return K
+    chosen = np.empty((1, 0), dtype=np.int8)  # columns assigned so far
+    rest = np.arange(n, dtype=np.int8)[None]  # the others, increasing
+    for k, p in enumerate(parts):
+        m = rest.shape[1]
+        combos = list(itertools.combinations(range(m), p))
+        others = np.array([[i for i in range(m) if i not in c]
+                           for c in combos], dtype=np.intp)
+        # every row times every combination, row-major: still lexicographic
+        chosen = np.concatenate((np.repeat(chosen, len(combos), axis=0),
+                                 rest[:, combos].reshape(-1, p)), axis=1)
+        rest = rest[:, others].reshape(len(chosen), m - p)
+        if k and parts[k - 1] == p:  # equal-size blocks: first columns rise
+            keep = chosen[:, -p] > chosen[:, -2 * p]
+            chosen, rest = chosen[keep], rest[keep]
+    orders = np.concatenate((chosen, rest), axis=1)
+    I, J = pair_basis(n)
+    pair_index = np.zeros((n, n), dtype=np.int8)
+    pair_index[I, J] = np.arange(len(I))
+    a, b = np.array(_within_block_pairs(parts)).T
+    return orders, pair_index[orders[:, a], orders[:, b]]
 
 
-def _best_assignment(K: np.ndarray, parts) -> tuple[float, tuple]:
-    """Exhaustive best block assignment for a fixed frame.
-
-    Among equal-value assignments the lexicographically smallest block
-    index set wins (enumeration order is lexicographic, ties keep the
-    incumbent).
-    """
-    n = K.shape[0]
-    if _assignment_count(n, parts) > 200_000:
-        return _greedy_assignment(K, parts)
-    best_val, best_blocks = np.inf, None
-    for blocks in _enumerate_assignments(n, parts):
-        val = 0.0
-        for block in blocks:
-            for a, b in itertools.combinations(block, 2):
-                val += K[a, b]
-        if val < best_val - 1e-15:
-            best_val, best_blocks = val, blocks
-    return best_val, best_blocks
-
-
-def _greedy_assignment(K: np.ndarray, parts) -> tuple[float, tuple]:
-    """Swap-descent fallback when exhaustive enumeration would be too large."""
-    n = K.shape[0]
-    owner = -np.ones(n, dtype=int)  # block index per column, -1 = unassigned
-    start = 0
-    for bi, p in enumerate(parts):
-        owner[start:start + p] = bi
-        start += p
-
-    def total():
-        return sum(K[a, b] for a in range(n) for b in range(a + 1, n)
-                   if owner[a] == owner[b] and owner[a] >= 0)
-
-    val = total()
-    improved = True
-    while improved:
-        improved = False
-        for a in range(n):
-            for b in range(a + 1, n):
-                if owner[a] == owner[b]:
-                    continue
-                owner[a], owner[b] = owner[b], owner[a]
-                tval = total()
-                if tval < val - 1e-13:
-                    val = tval
-                    improved = True
-                else:
-                    owner[a], owner[b] = owner[b], owner[a]
-    blocks = tuple(tuple(int(i) for i in np.flatnonzero(owner == bi))
-                   for bi in range(len(parts)))
-    return val, blocks
+def _assignment_minima(Q: np.ndarray, M: np.ndarray, table: np.ndarray):
+    """Smallest objective over the assignments of ``table`` for each frame
+    Q (S, n, n) with its operator M (S, p, p), and the first row reaching
+    it.  Each assignment adds its plane curvatures column by column."""
+    n = Q.shape[-1]
+    w = _PairSet(n, list(zip(*pair_basis(n)))).bivectors(Q)
+    K = (w * (M @ w)).sum(axis=1)  # every column pair's curvature (S, p)
+    vals, picks = np.empty(len(K)), np.empty(len(K), dtype=np.intp)
+    chunk = max(1, _CHUNK_ENTRIES // len(table))
+    for lo in range(0, len(K), chunk):
+        Kc = K[lo:lo + chunk]
+        total = Kc[:, table[:, 0]]
+        for col in table.T[1:]:
+            total += Kc[:, col]
+        vals[lo:lo + chunk] = total.min(axis=1)
+        picks[lo:lo + chunk] = total.argmin(axis=1)
+    return vals, picks
 
 
 def _random_orthogonal(rng: np.random.Generator, shape_prefix, n: int):
@@ -458,12 +425,21 @@ def _minimize_batch(components: np.ndarray, tup: DeltaTuple,
 
     Returns (inf values (S,), frames (S, n, n), per-sample diagnostics).
     """
-    S, n = components.shape[0], components.shape[-1]
-    I, J = pair_basis(n)
+    shape = components.shape
+    if len(shape) != 5 or len(set(shape[1:])) != 1:
+        raise ValueError(f"expected curvature components of shape "
+                         f"(S, n, n, n, n), got {shape}")
+    S, n = shape[0], shape[-1]
+    if n != tup.n:
+        raise Inadmissible(f"tuple dimension {tup.n} does not match "
+                           f"tensor dimension {n}")
+    if n > MAX_N:
+        raise ValueError(f"dimension {n} exceeds the maximum {MAX_N}")
+    if not np.isfinite(components).all():
+        raise ValueError("curvature components must be finite")
     M = pair_curvature_operator(components)
     ps = _PairSet(n, _within_block_pairs(tup.parts))
-    restarts = max(1, opts.restarts)
-
+    restarts = opts.restarts
     Q0 = _initial_frames(components, restarts, opts.seed)
     Mflat = np.repeat(M, restarts, axis=0)  # flat order is sample-major
     Qf, ff, convf, iterations = _descend(
@@ -477,29 +453,28 @@ def _minimize_batch(components: np.ndarray, tup: DeltaTuple,
     best_Q = Q[np.arange(S), best_idx]
     best_conv = done[np.arange(S), best_idx]
 
-    # discrete assignment polish on the winning frames
+    # discrete assignment polish: relabel each winning frame's columns into
+    # the blocks of least objective, then descend again from there
+    orders, table = _assignment_table(n, tup.parts)
     rounds_used = np.zeros(S, dtype=int)
-    for _ in range(opts.assignment_rounds):
-        redo = []
-        for s in range(S):
-            K = _pairwise_curvatures(best_Q[s], M[s], I, J)
-            val, blocks = _best_assignment(K, tup.parts)
-            if val < best_f[s] - 1e-12 * (1 + abs(best_f[s])):
-                order = [i for b in blocks for i in b]
-                order += [i for i in range(n) if i not in order]
-                best_Q[s] = best_Q[s][:, order]
-                best_f[s] = val
-                redo.append(s)
-        if not redo:
+    active = np.arange(S)
+    for _ in range(_ASSIGNMENT_ROUNDS):
+        vals, picks = _assignment_minima(best_Q[active], M[active], table)
+        f_act = best_f[active]
+        better = vals < f_act - 1e-12 * (1 + np.abs(f_act))
+        if not better.any():
             break
-        rounds_used[redo] += 1
-        sub = np.array(redo)
-        Qr, fr, conv_r, it_r = _descend(best_Q[sub], M[sub], ps, opts)
-        improved = fr < best_f[sub]
-        best_f[sub] = np.where(improved, fr, best_f[sub])
-        best_Q[sub[improved]] = Qr[improved]
+        sub, val = active[better], vals[better]
+        Qp = np.take_along_axis(best_Q[sub], orders[picks[better]][:, None],
+                                axis=2)
+        Qr, fr, conv_r, it_r = _descend(Qp, M[sub], ps, opts)
+        improved = fr < val
+        best_Q[sub] = np.where(improved[:, None, None], Qr, Qp)
+        best_f[sub] = np.where(improved, fr, val)
+        rounds_used[sub] += 1
         best_conv[sub] &= conv_r
         iterations += it_r
+        active = sub  # a frame the polish left alone stays unchanged
 
     diags = []
     for s in range(S):
@@ -528,9 +503,6 @@ def delta_invariant(R: CurvatureTensor, tup: DeltaTuple,
     than failing silently.
     """
     opts = opts or OptimizerOptions()
-    if tup.n != R.n:
-        raise Inadmissible(f"tuple dimension {tup.n} does not match "
-                           f"tensor dimension {R.n}")
     inf_vals, frames, diags = _minimize_batch(
         R.components[None], tup, opts)
     config = SubspaceConfig(frames[0], tup.blocks())
@@ -540,10 +512,13 @@ def delta_invariant(R: CurvatureTensor, tup: DeltaTuple,
 
 def delta_invariant_batch(components: np.ndarray, tup: DeltaTuple,
                           opts: OptimizerOptions | None = None):
-    """Vectorized delta over a stack of curvature components (S, n, n, n, n)."""
+    """Vectorized delta over a stack of curvature components (S, n, n, n, n).
+
+    Rejects another shape, n > ``cubic.MAX_N`` or non-finite components
+    (ValueError) and a tuple of another dimension (Inadmissible)."""
     opts = opts or OptimizerOptions()
-    taus = 0.5 * np.einsum("sabba->s", components)
     inf_vals, frames, diags = _minimize_batch(components, tup, opts)
+    taus = 0.5 * np.einsum("sabba->s", components)
     return taus - inf_vals, frames, diags
 
 
@@ -668,7 +643,7 @@ def oracle_delta_grid(R: CurvatureTensor, tup: DeltaTuple, resolution: int,
     left = (np.swapaxes(C1, -1, -2) @ M @ C1).reshape(len(C1), -1)
     right = (Y @ np.swapaxes(Y, -1, -2)).reshape(len(Y), -1)
     best_val, best_flat = np.inf, 0
-    chunk = max(1, 2_000_000 // len(right))
+    chunk = max(1, _CHUNK_ENTRIES // len(right))
     for lo in range(0, len(left), chunk):
         fvals = left[lo:lo + chunk] @ right.T
         arg = int(np.argmin(fvals))

@@ -113,6 +113,14 @@ class TestDelta:
         assert captured.err.startswith("error: --restarts")
         assert captured.out == ""
 
+    def test_max_iters_below_one_exits_2(self, tmp_path, capsys):
+        path = write_point(tmp_path, {"n": 4, "c": 0.0, "h": []})
+        assert main(["delta", "--input", path, "--tuple", "2",
+                     "--max-iters", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "max_iters" in captured.err
+        assert captured.out == ""
+
     def test_restarts_over_budget_exits_2(self, tmp_path, capsys):
         path = write_point(tmp_path, {"n": 12, "c": 0.0, "h": []})
         restarts = MAX_BATCH_ELEMENTS // 12 ** 4 + 1

@@ -3,12 +3,14 @@ import itertools
 import numpy as np
 import pytest
 
-from lagdelta.cubic import LagrangianPointData, gauss_curvature, random_cubic_form
+from lagdelta.cubic import (MAX_N, LagrangianPointData, gauss_curvature,
+                            random_cubic_form)
 from lagdelta.delta import (DeltaTuple, OptimizerOptions, SubspaceConfig,
                             config_objective, delta_invariant,
                             delta_invariant_batch, enumerate_tuples,
                             oracle_delta_dim3, oracle_delta_grid)
 from lagdelta.delta import (MAX_GRID_RESOLUTION, _GRID_AXES, _PairSet,
+                            _assignment_minima, _assignment_table,
                             _frame_from_angles, _random_orthogonal,
                             _second_compound, _within_block_pairs)
 from lagdelta.exceptions import Inadmissible
@@ -213,6 +215,126 @@ class TestBatch:
             single, _, _ = delta_invariant(
                 CurvatureTensor(4, comps[s]), tup, FAST)
             assert vals[s] == pytest.approx(single, abs=1e-8)
+
+
+class TestInputContract:
+    """Options and batch input are rejected before any work."""
+
+    @pytest.mark.parametrize("field", ["restarts", "max_iters"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_options_below_one_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            OptimizerOptions(**{field: value})
+
+    @pytest.mark.parametrize("shape", [(4, 4, 4, 4), (1, 4, 4, 4, 3),
+                                       (1, 1, 4, 4, 4, 4)])
+    def test_batch_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match="shape"):
+            delta_invariant_batch(np.zeros(shape), DeltaTuple(4, (2,)), FAST)
+
+    def test_tuple_dimension_mismatch_rejected(self):
+        R = constant_curvature(4, 1.0)
+        with pytest.raises(Inadmissible, match="does not match"):
+            delta_invariant_batch(R.components[None], DeltaTuple(5, (2,)),
+                                  FAST)
+        with pytest.raises(Inadmissible, match="does not match"):
+            delta_invariant(R, DeltaTuple(5, (2,)), FAST)
+
+    def test_batch_dimension_above_max_rejected(self):
+        n = MAX_N + 1
+        with pytest.raises(ValueError, match="maximum"):
+            delta_invariant_batch(np.zeros((1,) + (n,) * 4),
+                                  DeltaTuple(n, (2,)), FAST)
+
+    @pytest.mark.parametrize("restarts", [1, 2])
+    def test_batch_non_finite_rejected(self, restarts):
+        opts = OptimizerOptions(restarts=restarts)
+        with pytest.raises(ValueError, match="finite"):
+            delta_invariant_batch(np.full((1, 4, 4, 4, 4), np.nan),
+                                  DeltaTuple(4, (2,)), opts)
+        comps = np.stack([constant_curvature(4, 1.0).components] * 2)
+        comps[1, 0, 1, 1, 0] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            delta_invariant_batch(comps, DeltaTuple(4, (2,)), opts)
+
+
+def _brute_assignments(n, parts):
+    """Block index sets from every column permutation, equal-size blocks
+    ordered by first column, sorted."""
+    found = set()
+    for perm in itertools.permutations(range(n)):
+        blocks, start = [], 0
+        for p in parts:
+            blocks.append(tuple(sorted(perm[start:start + p])))
+            start += p
+        canon = []
+        for _, group in itertools.groupby(blocks, key=len):
+            canon += sorted(group)
+        found.add(tuple(canon))
+    return sorted(found)
+
+
+class TestAssignmentPolish:
+    """The assignment table and its gather against brute force."""
+
+    @pytest.mark.parametrize("n,parts", [
+        (4, (2,)), (4, (2, 2)), (5, (2, 3)), (6, (2, 2, 2)), (6, (3, 3)),
+        (7, (2, 3)), (7, (2, 2, 2)), (7, (3, 3))])
+    def test_table_matches_brute_force(self, n, parts):
+        orders, table = _assignment_table(n, parts)
+        ref = _brute_assignments(n, parts)
+        pairs = _within_block_pairs(parts)
+        assert orders.shape == (len(ref), n)
+        assert table.shape == (len(ref), len(pairs))
+        bounds = np.cumsum((0,) + parts)
+        got = [tuple(tuple(int(c) for c in row[lo:hi])
+                     for lo, hi in zip(bounds[:-1], bounds[1:]))
+               for row in orders]
+        assert got == ref  # same assignments, lexicographic order
+        assert got[0] == DeltaTuple(n, parts).blocks()
+        I, J = pair_basis(n)
+        N = bounds[-1]
+        for row, idx in zip(orders.tolist(), table.tolist()):
+            assert row[N:] == sorted(set(range(n)) - set(row[:N]))
+            assert [(I[k], J[k]) for k in idx] == [(row[a], row[b])
+                                                   for a, b in pairs]
+
+    @pytest.mark.parametrize("n,parts", [(4, (2,)), (5, (2, 3)), (6, (2, 2)),
+                                         (6, (3,)), (6, (2, 2, 2))])
+    def test_gathered_minimum_is_best_relabeling(self, n, parts):
+        rng = np.random.default_rng([n, 31, *parts])
+        tensors = [random_tensor(n, rng) for _ in range(2)]
+        Q = _random_orthogonal(rng, (2,), n)
+        M = pair_curvature_operator(np.stack([R.components for R in tensors]))
+        orders, table = _assignment_table(n, parts)
+        vals, picks = _assignment_minima(Q, M, table)
+        blocks = DeltaTuple(n, parts).blocks()
+        for s, R in enumerate(tensors):
+            brute = min(config_objective(
+                R, SubspaceConfig(Q[s][:, list(perm)], blocks))
+                for perm in itertools.permutations(range(n)))
+            picked = config_objective(
+                R, SubspaceConfig(Q[s][:, orders[picks[s]]], blocks))
+            assert vals[s] == pytest.approx(brute, rel=1e-12, abs=1e-12)
+            assert picked == pytest.approx(brute, rel=1e-12, abs=1e-12)
+
+    def test_ties_go_to_the_first_assignment(self):
+        # constant curvature in the standard frame: every sum is exactly 3
+        M = pair_curvature_operator(constant_curvature(6, 1.0).components)
+        _, table = _assignment_table(6, (2, 2, 2))
+        vals, picks = _assignment_minima(np.eye(6)[None], M[None], table)
+        assert vals[0] == 3.0 and picks[0] == 0
+
+    def test_largest_table_reproduces_value(self):
+        # (2,2,3,4) and (2,2,3,3) at n = 12 have the most assignments
+        tup = DeltaTuple(12, (2, 2, 3, 4))
+        assert len(_assignment_table(12, tup.parts)[0]) == 415_800
+        R = random_tensor(12, np.random.default_rng([12, 2, 2, 3, 4]))
+        val, cfg, diag = delta_invariant(
+            R, tup, OptimizerOptions(restarts=1, max_iters=2))
+        assert diag.assignment_rounds >= 1  # the polish relabeled the frame
+        assert scalar_tau(R) - config_objective(R, cfg) == pytest.approx(
+            val, abs=1e-10)
 
 
 def _cayley(X):
