@@ -16,8 +16,10 @@ from lagdelta import (DeltaTuple, LagrangianPointData, OptimizerOptions,
                       validate_cubic)
 
 lam = 2.0 / np.sqrt(3.0)
-form = validate_cubic([(1, 1, 1, lam), (1, 2, 2, -lam)], n=3)
-data = LagrangianPointData(n=3, c=1.0, h=form)
+# 1-based (A, B, C, value) entries in, a dense 0-based (3, 3, 3) array out
+h = validate_cubic([(1, 1, 1, lam), (1, 2, 2, -lam)], n=3)
+print("h^1_BC slice:\n", h[0])
+data = LagrangianPointData(n=3, c=1.0, h=h)
 
 R = gauss_curvature(data)
 eye = np.eye(3)
@@ -26,7 +28,7 @@ print("plane curvatures:",
        for i, j in [(0, 1), (0, 2), (1, 2)]])
 print("tau via curvature tensor:", scalar_tau(R))
 print("tau directly from the cubic form:", tau_from_cubic(data))
-H, h2 = mean_curvature(form)
+H, h2 = mean_curvature(h)
 print("mean curvature vector:", H, " squared norm:", h2)
 
 # delta(2) three ways: optimizer, exact eigenvalue oracle, rotation grid

@@ -26,9 +26,9 @@ print("Kahler pullback at a random point:", lagrangian_residual(chart, x))
 extraction = induced_data_flat(chart, np.zeros(5))
 h = extraction.data.h
 print("extraction symmetry deviation:", extraction.symmetry_deviation)
-print("cubic coefficients at 0 (third derivatives of F):")
-for triple in [(1, 1, 3), (2, 2, 3), (3, 3, 3), (3, 4, 4), (3, 5, 5)]:
-    print(f"  h{triple} = {h.coeff(*triple):.6f}")
+print("cubic coefficients at 0 (third derivatives of F), 1-based triples:")
+for a, b, c in [(1, 1, 3), (2, 2, 3), (3, 3, 3), (3, 4, 4), (3, 5, 5)]:
+    print(f"  h{(a, b, c)} = {h[a - 1, b - 1, c - 1]:.6f}")
 
 _, h2 = mean_curvature(h)
 delta, _, _ = delta_invariant(gauss_curvature(extraction.data), tup,

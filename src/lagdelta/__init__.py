@@ -7,8 +7,8 @@ Sign and normalization conventions live in docs/conventions.md.
 from .frames import (CurvatureTensor, MetricFrame, constant_curvature,
                      gram_schmidt, rotate_tensor, scalar_tau,
                      sectional_curvature, tau_subspace)
-from .cubic import (CubicForm, LagrangianPointData, gauss_curvature,
-                    mean_curvature, point_data_from_json, point_data_to_json,
+from .cubic import (LagrangianPointData, gauss_curvature, mean_curvature,
+                    point_data_from_json, point_data_to_json,
                     random_cubic_form, rotate_cubic, tau_from_cubic,
                     validate_cubic)
 from .delta import (DeltaDiagnostics, DeltaTuple, OptimizerOptions,
@@ -38,7 +38,7 @@ __all__ = [
     "CurvatureTensor", "MetricFrame", "constant_curvature", "gram_schmidt",
     "rotate_tensor", "scalar_tau", "sectional_curvature", "tau_subspace",
     # cubic data
-    "CubicForm", "LagrangianPointData", "gauss_curvature", "mean_curvature",
+    "LagrangianPointData", "gauss_curvature", "mean_curvature",
     "point_data_from_json", "point_data_to_json", "random_cubic_form",
     "rotate_cubic", "tau_from_cubic", "validate_cubic",
     # delta invariants

@@ -3,14 +3,16 @@
 A point of a Lagrangian submanifold of a complex space form of holomorphic
 sectional curvature 4c is described, in an adapted orthonormal frame, by
 the totally symmetric coefficients ``h^A_BC = <h(e_B, e_C), J e_A>``.
-Triples are stored once in sorted order; indices in the public API are
-1-based to match the JSON schema.
+They are held as dense, exactly symmetric, 0-based (n, n, n) arrays,
+batch-shaped (..., n, n, n) where a function allows it; 1-based index
+triples appear only in the JSON schema.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
@@ -22,9 +24,8 @@ __all__ = [
     "cubic_triples",
     "scatter_cubic",
     "symmetrize_cubic",
+    "symmetry_deviation",
     "gauss_components",
-    "mean_curvature_dense",
-    "CubicForm",
     "LagrangianPointData",
     "validate_cubic",
     "rotate_cubic",
@@ -37,8 +38,13 @@ __all__ = [
 ]
 
 
-# The dense core: cubic arrays are batch-shaped (..., n, n, n), 0-based.
 _PERMUTATIONS = tuple(permutations(range(3)))  # identity first
+
+
+def _last_three(t: np.ndarray, p) -> np.ndarray:
+    """t with its last three axes permuted by p."""
+    lead = list(range(t.ndim - 3))
+    return t.transpose(lead + [k - 3 for k in p])
 
 
 def cubic_triples(n: int) -> np.ndarray:
@@ -60,9 +66,36 @@ def scatter_cubic(h: np.ndarray, triples, values) -> np.ndarray:
 def symmetrize_cubic(t: np.ndarray) -> np.ndarray:
     """Average of an (..., n, n, n) array over the permutations of its last
     three axes."""
-    lead = list(range(t.ndim - 3))
-    return sum(t.transpose(lead + [k - 3 for k in p])
-               for p in _PERMUTATIONS) / 6.0
+    return sum(_last_three(t, p) for p in _PERMUTATIONS) / 6.0
+
+
+def symmetry_deviation(t: np.ndarray) -> float:
+    """Max deviation of t from symmetry under the permutations of its last
+    three axes."""
+    return max(float(np.abs(t - _last_three(t, p)).max())
+               for p in _PERMUTATIONS[1:])
+
+
+def _canonical_cubic(h, tol: float = 1e-12) -> np.ndarray:
+    """Read-only, exactly symmetric copy of a cubic array.
+
+    Checks the (n, n, n) shape, finiteness and total symmetry within
+    ``tol * (1 + max|h|)``, then scatters each sorted-triple entry to every
+    permutation.  Adding 0.0 stores -0.0 as 0.0.
+    """
+    h = np.asarray(h, dtype=float)
+    if h.ndim != 3 or len(set(h.shape)) != 1 or h.shape[0] < 1:
+        raise ValueError(f"cubic array must have shape (n, n, n), got "
+                         f"{h.shape}")
+    if not np.isfinite(h).all():
+        raise ValueError("cubic coefficients are not finite")
+    dev = symmetry_deviation(h)
+    if dev > tol * (1.0 + np.abs(h).max()):
+        raise ValueError(f"array is not totally symmetric: deviation {dev:.3e}")
+    triples = cubic_triples(h.shape[0])
+    out = scatter_cubic(np.zeros_like(h), triples, h[tuple(triples.T)] + 0.0)
+    out.flags.writeable = False
+    return out
 
 
 def gauss_components(h: np.ndarray, c: float) -> np.ndarray:
@@ -79,8 +112,9 @@ def gauss_components(h: np.ndarray, c: float) -> np.ndarray:
     return comp
 
 
-def mean_curvature_dense(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean curvature ``H^A = (1/n) sum_B h^A_BB`` and its squared norm.
+def mean_curvature(h: np.ndarray):
+    """Mean curvature ``H^A = (1/n) sum_B h^A_BB`` and its squared norm,
+    for cubic arrays (..., n, n, n); H^2 is a scalar for a single point.
 
     The trace is a running sum in index order, so exactly traceless
     constructions give exactly zero; the squared norm is a stacked dot
@@ -88,84 +122,76 @@ def mean_curvature_dense(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     diag = np.diagonal(h, axis1=-2, axis2=-1)  # h[..., a, b, b]
     H = np.cumsum(diag, axis=-1)[..., -1] / h.shape[-1]
-    return H, np.matmul(H[..., None, :], H[..., :, None])[..., 0, 0]
+    return H, np.matmul(H[..., None, :], H[..., :, None])[..., 0, 0][()]
 
 
-@dataclass(frozen=True)
-class CubicForm:
-    """Totally symmetric cubic coefficients, stored by sorted 1-based triple."""
-
-    n: int
-    coeffs: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        clean = {}
-        for key, val in self.coeffs.items():
-            a, b, c = sorted(key)
-            if not (1 <= a and c <= self.n):
-                raise ValueError(f"triple {key} out of range 1..{self.n}")
-            if not np.isfinite(val):
-                raise ValueError(f"coefficient of triple {key} is not "
-                                 f"finite: {val!r}")
-            if val != 0.0:
-                clean[(a, b, c)] = float(val)
-        object.__setattr__(self, "coeffs", clean)
-
-    def coeff(self, a: int, b: int, c: int) -> float:
-        """Value at any permutation of a 1-based triple."""
-        return self.coeffs.get(tuple(sorted((a, b, c))), 0.0)
-
-    def dense(self) -> np.ndarray:
-        """Dense (n, n, n) array, 0-based."""
-        return scatter_cubic(np.zeros((self.n,) * 3),
-                             np.array(list(self.coeffs), dtype=int) - 1,
-                             list(self.coeffs.values()))
-
-    @classmethod
-    def from_dense(cls, h: np.ndarray, tol: float = 1e-12) -> "CubicForm":
-        """Build from a dense array, checking total symmetry."""
-        h = np.asarray(h, dtype=float)
-        n = h.shape[0]
-        dev = max(np.abs(h - h.transpose(p)).max() for p in _PERMUTATIONS[1:])
-        if dev > tol * (1.0 + np.abs(h).max()):
-            raise ValueError(f"array is not totally symmetric: deviation {dev:.3e}")
-        triples = cubic_triples(n)
-        keys = map(tuple, (triples + 1).tolist())
-        return cls(n, dict(zip(keys, h[tuple(triples.T)])))
+# concrete types (ABC checks are slow); bool, an int subclass, is refused
+_INTEGERS = (int, np.integer)
+_NUMBERS = (int, float, np.integer, np.floating)
 
 
-def validate_cubic(raw, n: int) -> CubicForm:
-    """Assemble a CubicForm from (A, B, C, value) entries, 1-based.
+def _is_integer(x) -> bool:
+    return isinstance(x, _INTEGERS) and not isinstance(x, bool)
 
-    Permutation duplicates are allowed if they agree within 1e-12; missing
-    triples default to zero.
+
+def _number(x) -> float:
+    """A finite float from a number; ValueError for anything else."""
+    if isinstance(x, bool) or not isinstance(x, _NUMBERS):
+        raise ValueError(f"{x!r} is not a number")
+    try:
+        value = float(x)
+    except OverflowError:  # an integer literal beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"{x!r} is not finite")
+    return value
+
+
+def validate_cubic(raw, n: int) -> np.ndarray:
+    """Assemble a dense (n, n, n) array from [A, B, C, value] entries,
+    1-based.
+
+    Indices must be integers in 1..n and values finite numbers (booleans
+    are refused).  Permutation duplicates are allowed if they agree within
+    1e-12; missing triples default to zero.
     """
+    if not isinstance(raw, (list, tuple)):
+        raise ValueError(f"cubic entries must be an array, got {raw!r}")
     seen: dict[tuple, float] = {}
     for entry in raw:
-        a, b, c, val = entry
-        a, b, c = int(a), int(b), int(c)
-        for idx in (a, b, c):
-            if not 1 <= idx <= n:
-                raise ValueError(f"index {idx} out of range 1..{n}")
-        key = tuple(sorted((a, b, c)))
-        val = float(val)
+        if not isinstance(entry, (list, tuple)) or len(entry) != 4:
+            raise ValueError(f"cubic entry {entry!r} is not an "
+                             f"[A, B, C, value] array")
+        *idx, val = entry
+        for i in idx:
+            if not _is_integer(i):
+                raise ValueError(f"index {i!r} is not an integer")
+            if not 1 <= i <= n:
+                raise ValueError(f"index {i} out of range 1..{n}")
+        key = tuple(sorted(map(int, idx)))
+        try:
+            val = _number(val)
+        except ValueError as exc:
+            raise ValueError(f"coefficient of triple {key}: {exc}") from None
         if key in seen and abs(seen[key] - val) > 1e-12 * (1.0 + abs(val)):
             raise SymmetryViolation(key)
         seen.setdefault(key, val)
-    return CubicForm(n, seen)
+    return scatter_cubic(np.zeros((n, n, n)), np.array(list(seen)) - 1,
+                         np.array(list(seen.values())) + 0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LagrangianPointData:
     """Pointwise Lagrangian data: dimension, ambient constant c, cubic form.
 
+    ``h`` is stored as a read-only, exactly symmetric (n, n, n) array.
     ``c`` is a quarter of the ambient holomorphic sectional curvature.
     The optional ``source`` tags which construction produced the point.
     """
 
     n: int
     c: float
-    h: CubicForm
+    h: np.ndarray
     source: str = ""
 
     def __post_init__(self):
@@ -173,32 +199,25 @@ class LagrangianPointData:
             raise ValueError("dimension must be >= 2")
         if not np.isfinite(self.c):
             raise ValueError("c must be finite")
-        if self.h.n != self.n:
+        h = _canonical_cubic(self.h)
+        if h.shape[0] != self.n:
             raise ValueError("cubic form dimension mismatch")
+        object.__setattr__(self, "h", h)
 
 
-def rotate_cubic(h: CubicForm, Q: np.ndarray) -> CubicForm:
+def rotate_cubic(h: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """Coefficients in the rotated frame e'_A = sum_a Q[a, A] e_a."""
     Q = np.asarray(Q, dtype=float)
-    if np.abs(Q.T @ Q - np.eye(h.n)).max() > 1e-10:
+    if np.abs(Q.T @ Q - np.eye(len(h))).max() > 1e-10:
         raise ValueError("Q is not orthogonal")
-    dense = np.einsum("abc,aA,bB,cC->ABC", h.dense(), Q, Q, Q, optimize=True)
-    return CubicForm.from_dense(dense, tol=1e-10)
+    dense = np.einsum("abc,aA,bB,cC->ABC", h, Q, Q, Q, optimize=True)
+    return _canonical_cubic(dense, tol=1e-10)
 
 
 def gauss_curvature(data: LagrangianPointData) -> CurvatureTensor:
     """Curvature tensor reconstructed from the cubic form by the Gauss
     equation (:func:`gauss_components`)."""
-    return CurvatureTensor(data.n, gauss_components(data.h.dense(), data.c))
-
-
-def mean_curvature(h: CubicForm) -> tuple[np.ndarray, float]:
-    """Mean curvature components in the J-frame and their squared norm.
-
-    ``H^A = (1/n) sum_B h^A_BB``; see :func:`mean_curvature_dense`.
-    """
-    H, h2 = mean_curvature_dense(h.dense())
-    return H, float(h2)
+    return CurvatureTensor(data.n, gauss_components(data.h, data.c))
 
 
 def tau_from_cubic(data: LagrangianPointData) -> float:
@@ -207,7 +226,7 @@ def tau_from_cubic(data: LagrangianPointData) -> float:
     ``tau = sum_A sum_{B<C} (h^A_BB h^A_CC - (h^A_BC)^2)
             + n(n-1) c / 2``; cross-checks the Gauss-equation path.
     """
-    h = data.h.dense()
+    h = data.h
     diag = np.einsum("abb->ab", h)
     total = 0.0
     for a in range(data.n):
@@ -220,11 +239,11 @@ def tau_from_cubic(data: LagrangianPointData) -> float:
 
 
 def random_cubic_form(n: int, rng: np.random.Generator,
-                      scale: float = 1.0) -> CubicForm:
+                      scale: float = 1.0) -> np.ndarray:
     """Independent standard-normal coefficient per sorted triple."""
     triples = cubic_triples(n)
-    values = scale * rng.standard_normal(len(triples))
-    return CubicForm(n, dict(zip(map(tuple, (triples + 1).tolist()), values)))
+    return scatter_cubic(np.zeros((n, n, n)), triples,
+                         scale * rng.standard_normal(len(triples)))
 
 
 # Largest dimension the JSON schema accepts: the arrays are dense, n^3
@@ -236,28 +255,41 @@ def point_data_from_json(text: str) -> LagrangianPointData:
     """Parse the input schema {"n": int, "c": real, "h": [[A,B,C,value],...]}.
 
     ``n`` above ``MAX_N`` is rejected before any coefficient is read.
+    Every malformed input raises ValueError.
     """
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed JSON at line {exc.lineno}, column "
                          f"{exc.colno}: {exc.msg}") from exc
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+    if not isinstance(obj, dict):
+        raise ValueError("point data must be a JSON object")
     for key in ("n", "c", "h"):
         if key not in obj:
             raise ValueError(f"missing field {key!r}")
-    n = int(obj["n"])
-    if n > MAX_N:
-        raise ValueError(f"dimension n = {n} exceeds the supported "
-                         f"maximum {MAX_N}")
-    form = validate_cubic(obj["h"], n)
-    return LagrangianPointData(n, float(obj["c"]), form,
+    n = obj["n"]
+    if not _is_integer(n):
+        raise ValueError(f"n must be an integer, got {n!r}")
+    if not 2 <= n <= MAX_N:
+        raise ValueError(f"dimension n = {n} is outside the supported "
+                         f"range 2..{MAX_N}")
+    try:
+        c = _number(obj["c"])
+    except ValueError as exc:
+        raise ValueError(f"c: {exc}") from None
+    return LagrangianPointData(n, c, validate_cubic(obj["h"], n),
                                source=str(obj.get("source", "")))
 
 
 def point_data_to_json(data: LagrangianPointData) -> str:
-    entries = [[a, b, c, v] for (a, b, c), v in sorted(data.h.coeffs.items())]
+    """The input schema, with the nonzero entries in sorted-triple order."""
+    triples = cubic_triples(data.n)
+    values = data.h[tuple(triples.T)].tolist()
+    entries = [[a, b, c, v] for (a, b, c), v
+               in zip((triples + 1).tolist(), values) if v != 0.0]
     obj = {"n": data.n, "c": data.c, "h": entries}
     if data.source:
         obj["source"] = data.source
     return json.dumps(obj)
-

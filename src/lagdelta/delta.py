@@ -18,8 +18,8 @@ from scipy.optimize import minimize as _scipy_minimize
 
 from .cubic import MAX_N
 from .exceptions import Inadmissible
-from .frames import (CurvatureTensor, pair_basis, pair_curvature_operator,
-                     scalar_tau, tau_subspace)
+from .frames import (MAX_COMPONENT, CurvatureTensor, pair_basis,
+                     pair_curvature_operator, scalar_tau, tau_subspace)
 
 __all__ = [
     "DeltaTuple",
@@ -435,8 +435,9 @@ def _minimize_batch(components: np.ndarray, tup: DeltaTuple,
                            f"tensor dimension {n}")
     if n > MAX_N:
         raise ValueError(f"dimension {n} exceeds the maximum {MAX_N}")
-    if not np.isfinite(components).all():
-        raise ValueError("curvature components must be finite")
+    if not (np.abs(components) <= MAX_COMPONENT).all():
+        raise ValueError(f"curvature components must be finite and at "
+                         f"most {MAX_COMPONENT:g} in magnitude")
     M = pair_curvature_operator(components)
     ps = _PairSet(n, _within_block_pairs(tup.parts))
     restarts = opts.restarts
@@ -514,8 +515,9 @@ def delta_invariant_batch(components: np.ndarray, tup: DeltaTuple,
                           opts: OptimizerOptions | None = None):
     """Vectorized delta over a stack of curvature components (S, n, n, n, n).
 
-    Rejects another shape, n > ``cubic.MAX_N`` or non-finite components
-    (ValueError) and a tuple of another dimension (Inadmissible)."""
+    Rejects another shape, n > ``cubic.MAX_N``, components that are not
+    finite or exceed ``frames.MAX_COMPONENT`` (ValueError) and a tuple of
+    another dimension (Inadmissible)."""
     opts = opts or OptimizerOptions()
     inf_vals, frames, diags = _minimize_batch(components, tup, opts)
     taus = 0.5 * np.einsum("sabba->s", components)

@@ -30,6 +30,12 @@ __all__ = [
     "pair_curvature_operator",
 ]
 
+# Largest accepted magnitude of a curvature component.  The optimizer's
+# squared gradient norms and Armijo tests multiply components pairwise, so
+# values near the float range (1e308) overflow there and come back as a
+# silent wrong delta; 1e100 keeps every such product far inside the range.
+MAX_COMPONENT = 1e100
+
 
 def riemann_symmetry_deviation(comp: np.ndarray) -> float:
     """Max deviation from the four index symmetries of a curvature array."""
@@ -64,9 +70,11 @@ class CurvatureTensor:
             raise ValueError(f"expected shape {(self.n,) * 4}, got {comp.shape}")
         if self.n < 2:
             raise ValueError("dimension must be >= 2")
-        if not np.isfinite(comp).all():
-            raise ValueError("curvature components must be finite")
-        scale = 1.0 + np.abs(comp).max()
+        peak = np.abs(comp).max()
+        if not peak <= MAX_COMPONENT:  # also false for NaN
+            raise ValueError(f"curvature components must be finite and at "
+                             f"most {MAX_COMPONENT:g} in magnitude")
+        scale = 1.0 + peak
         dev = max(riemann_symmetry_deviation(comp), bianchi_deviation(comp))
         if dev > self.tol * scale:
             raise ValueError(

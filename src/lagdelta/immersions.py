@@ -15,8 +15,8 @@ from typing import Callable
 
 import numpy as np
 
-from .cubic import (CubicForm, LagrangianPointData, mean_curvature_dense,
-                    symmetrize_cubic)
+from .cubic import (LagrangianPointData, mean_curvature, symmetrize_cubic,
+                    symmetry_deviation)
 from .exceptions import ChartDomainError, HorizontalityError
 from .frames import CurvatureTensor, gram_schmidt
 from .numdiff import jacobian as fd_jacobian
@@ -144,10 +144,8 @@ def _extract(chart: ImmersionChart, x: np.ndarray, c: float,
              dL: np.ndarray) -> tuple[LagrangianPointData, float]:
     """Symmetrized cubic data and the raw coefficients' symmetry deviation."""
     raw = _raw_cubic(chart, x, dL)
-    dev = max(float(np.abs(raw - raw.transpose(p)).max())
-              for p in [(0, 2, 1), (1, 0, 2), (2, 1, 0)])
-    form = CubicForm.from_dense(symmetrize_cubic(raw))
-    return LagrangianPointData(chart.n, c, form, source=chart.name), dev
+    return (LagrangianPointData(chart.n, c, symmetrize_cubic(raw),
+                                source=chart.name), symmetry_deviation(raw))
 
 
 def induced_data_flat(chart: ImmersionChart, x: np.ndarray,
@@ -307,7 +305,7 @@ def legendrian_minimality_residual(chart: ImmersionChart, points) -> float:
     """
     worst = 0.0
     for x in np.atleast_2d(points):
-        _, h2 = mean_curvature_dense(_raw_cubic(chart, x, chart.jac(x)))
+        _, h2 = mean_curvature(_raw_cubic(chart, x, chart.jac(x)))
         worst = max(worst, float(np.sqrt(h2)))
     return worst
 
@@ -529,14 +527,13 @@ def exotic_s3_horizontal_chart(extent: float = 0.35) -> ImmersionChart:
 # ---------------------------------------------------------------------------
 
 def intrinsic_curvature_fd(chart: ImmersionChart, x: np.ndarray,
-                           h: float = 5e-3,
-                           richardson: bool = True) -> CurvatureTensor:
+                           h: float = 5e-3) -> CurvatureTensor:
     """Curvature of the induced metric by finite differences.
 
     Independent of the Gauss-equation reconstruction: metric from the
     chart Jacobian, Christoffel symbols and their derivatives by central
     differences at step ``h``, then components in the Gram-Schmidt frame.
-    ``richardson`` combines steps h and h/2 to cancel the leading O(h^2)
+    Steps h and h/2 are combined (Richardson) to cancel the leading O(h^2)
     truncation term.
     """
     x = np.asarray(x, dtype=float)
@@ -568,7 +565,5 @@ def intrinsic_curvature_fd(chart: ImmersionChart, x: np.ndarray,
         return np.einsum("ijkl,iA,jB,kC,lD->ABCD", lowered, frame, frame,
                          frame, frame, optimize=True)
 
-    comp = components_at(h)
-    if richardson:
-        comp = (4.0 * components_at(h / 2) - comp) / 3.0
+    comp = (4.0 * components_at(h / 2) - components_at(h)) / 3.0
     return CurvatureTensor(n, comp, tol=1e-3)

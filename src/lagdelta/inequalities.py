@@ -14,9 +14,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cubic import (CubicForm, LagrangianPointData, cubic_triples,
-                    gauss_components, gauss_curvature, mean_curvature,
-                    mean_curvature_dense, rotate_cubic, scatter_cubic)
+from .cubic import (LagrangianPointData, cubic_triples, gauss_components,
+                    gauss_curvature, mean_curvature, rotate_cubic,
+                    scatter_cubic)
 from .delta import (DeltaTuple, OptimizerOptions, delta_invariant_batch,
                     delta_value, enumerate_tuples)
 from .exceptions import Inadmissible
@@ -198,7 +198,7 @@ def _report(data, variant, tup, eq_tol, delta_of) -> InequalityReport:
         raise Inadmissible("the projective hyperplane bound is stated for c = 1")
     a, b = coefficients(variant, tup)
     delta, diagnostics = delta_of()
-    _, h2 = mean_curvature(data.h)
+    h2 = float(mean_curvature(data.h)[1])
     rhs = a * h2 + b * data.c
     slack = rhs - delta
     return InequalityReport(variant, tup, data.n, data.c, delta, h2, rhs,
@@ -280,8 +280,7 @@ def synthesize_equality_data(tup: DeltaTuple, variant: InequalityVariant,
     else:
         raise Inadmissible(f"no equality synthesis for variant {variant.value}")
 
-    return LagrangianPointData(n, c, CubicForm.from_dense(h),
-                               source=f"equality-{variant.value}")
+    return LagrangianPointData(n, c, h, source=f"equality-{variant.value}")
 
 
 @dataclass
@@ -372,7 +371,7 @@ def _n_block_angles(tup: DeltaTuple) -> int:
     return total
 
 
-def detect_equality_structure(h: CubicForm, tup: DeltaTuple,
+def detect_equality_structure(h: np.ndarray, tup: DeltaTuple,
                               variant: InequalityVariant,
                               frame: np.ndarray | None = None,
                               tol: float = 1e-8,
@@ -387,7 +386,7 @@ def detect_equality_structure(h: CubicForm, tup: DeltaTuple,
     still fails, an optional secondary search over within-block and
     complement rotations looks for a frame realizing the pattern.
     """
-    if h.n != tup.n:
+    if h.shape != (tup.n,) * 3:
         raise Inadmissible("cubic form dimension does not match tuple")
     work = rotate_cubic(h, frame) if frame is not None else h
     note = ""
@@ -411,17 +410,15 @@ def detect_equality_structure(h: CubicForm, tup: DeltaTuple,
             work = rotate_cubic(work, W)
             note = "aligned complement with mean-curvature direction"
 
-    def deviation_of(form: CubicForm) -> tuple[float, float | None]:
-        dense = form.dense()
-        target, lam = _pattern_target(dense, tup, variant)
-        return float(np.abs(dense - target).max()), lam
+    def deviation_of(cubic: np.ndarray) -> tuple[float, float | None]:
+        target, lam = _pattern_target(cubic, tup, variant)
+        return float(np.abs(cubic - target).max()), lam
 
     if variant == InequalityVariant.FIRST:
         # the in-plane gauge: rotate so the spin-3 part of the block cubic
         # aligns with its real axis; the phase gives the angle exactly
-        dense0 = work.dense()
-        re3 = 0.25 * (dense0[0, 0, 0] - 3.0 * dense0[0, 1, 1])
-        im3 = 0.25 * (3.0 * dense0[0, 0, 1] - dense0[1, 1, 1])
+        re3 = 0.25 * (work[0, 0, 0] - 3.0 * work[0, 1, 1])
+        im3 = 0.25 * (3.0 * work[0, 0, 1] - work[1, 1, 1])
         phi = np.arctan2(im3, re3) / 3.0
 
         def dev_at(t: float) -> float:
@@ -429,7 +426,7 @@ def detect_equality_structure(h: CubicForm, tup: DeltaTuple,
             G[0, 0] = G[1, 1] = np.cos(t)
             G[0, 1] = -np.sin(t)
             G[1, 0] = np.sin(t)
-            d = np.einsum("abc,aA,bB,cC->ABC", dense0, G, G, G)
+            d = np.einsum("abc,aA,bB,cC->ABC", work, G, G, G)
             tgt, _ = _pattern_target(d, tup, variant)
             return float(np.abs(d - tgt).max())
 
@@ -494,7 +491,7 @@ def soundness_audit(n: int, count: int, seed: int,
     dense = scatter_cubic(np.zeros((count, n, n, n)), triples,
                           rng.standard_normal((count, len(triples))))
     comps = gauss_components(dense, 0.0)
-    _, h2 = mean_curvature_dense(dense)
+    _, h2 = mean_curvature(dense)
 
     pairs = []
     rhss = {}

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["jacobian", "second_derivatives", "directional"]
+__all__ = ["jacobian", "second_derivatives"]
 
 
 def _steps(h, n):
@@ -69,13 +69,3 @@ def second_derivatives(f, x, h=1e-4, jac=None) -> np.ndarray:
             d2[..., j, i] = mixed
     return d2
 
-
-def directional(f, x, direction, h=1e-5):
-    """Central derivative of f along a chart direction (t -> f(x + t d))."""
-    x = np.asarray(x, dtype=float)
-    d = np.asarray(direction, dtype=float)
-    nrm = np.linalg.norm(d)
-    if nrm == 0:
-        raise ValueError("zero direction")
-    eps = h / nrm
-    return (np.asarray(f(x + eps * d)) - np.asarray(f(x - eps * d))) / (2 * eps)

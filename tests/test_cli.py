@@ -73,19 +73,62 @@ class TestDelta:
         err = capsys.readouterr().err
         assert "line" in err
 
-    @pytest.mark.parametrize("value", ["NaN", "1e308"])
-    def test_non_finite_input_exits_2(self, tmp_path, capsys, value):
+    @pytest.mark.parametrize("text,extra", [
+        pytest.param('{"n": 3, "c": 0.0, "h": [[1, 1, 1, NaN]]}', [],
+                     id="NaN"),
+        pytest.param('{"n": 3, "c": 0.0, "h": [[1, 1, 1, 1e308]]}', [],
+                     id="1e308"),
+        pytest.param('{"n": 4, "c": 0.5, "h": [[1, 1, 2, 1e150], '
+                     '[2, 3, 4, 1], [1, 1, 1, 2]]}', ["--oracle"],
+                     id="1e150"),
+        pytest.param('{"n": 3, "c": 1e308, "h": []}', [], id="c-1e308"),
+    ])
+    def test_non_finite_input_exits_2(self, tmp_path, capsys, text, extra):
         # NaN is rejected on input; 1e308 is finite but its Gauss products
-        # overflow, so the curvature tensor rejects it
+        # overflow; 1e150 and c = 1e308 give finite curvature components
+        # above frames.MAX_COMPONENT, where the optimizer would overflow
         path = tmp_path / "big.json"
-        path.write_text('{"n": 3, "c": 0.0, "h": [[1, 1, 1, %s]]}' % value)
+        path.write_text(text)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert main(["delta", "--input", str(path), "--tuple", "2"]) == 2
+            assert main(["delta", "--input", str(path), "--tuple", "2"]
+                        + extra) == 2
         assert not caught  # a warning would reach stderr before the error
         err = capsys.readouterr().err
         assert err.startswith("error:") and "finite" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text", [
+        pytest.param("5", id="top-level-number"),
+        pytest.param("[" * 100000 + "]" * 100000, id="deeply-nested"),
+        pytest.param('{"n": 3, "c": 0, "h": 5}', id="h-number"),
+        pytest.param('{"n": 3, "c": 0, "h": [1]}', id="entry-number"),
+        pytest.param('{"n": 3, "c": 0, "h": [[1, 1, 1]]}', id="entry-short"),
+        pytest.param('{"n": [3], "c": 0, "h": []}', id="n-array"),
+        pytest.param('{"n": 3.7, "c": 0, "h": []}', id="n-float"),
+        pytest.param('{"n": true, "c": 0, "h": []}', id="n-bool"),
+        pytest.param('{"n": -1, "c": 0, "h": []}', id="n-negative"),
+        pytest.param('{"n": 3, "c": null, "h": []}', id="c-null"),
+        pytest.param('{"n": 3, "c": true, "h": []}', id="c-bool"),
+        pytest.param('{"n": 3, "c": 1%s, "h": []}' % ("0" * 400),
+                     id="c-int-beyond-float"),
+        pytest.param('{"n": 3, "c": 0, "h": [[1, 1, 1, null]]}',
+                     id="value-null"),
+        pytest.param('{"n": 3, "c": 0, "h": [[1, 1, 1, "1"]]}',
+                     id="value-string"),
+        pytest.param('{"n": 3, "c": 0, "h": [[1.5, 1, 1, 1.0]]}',
+                     id="index-float"),
+        pytest.param('{"n": 3, "c": 0, "h": [[true, 1, 1, 1.0]]}',
+                     id="index-bool"),
+    ])
+    def test_malformed_input_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert main(["delta", "--input", str(path), "--tuple", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""  # rejected before the optimizer ran
 
     def test_grid_resolution_zero_exits_2(self, tmp_path, capsys):
         path = write_point(tmp_path, {"n": 4, "c": 0.0, "h": []})

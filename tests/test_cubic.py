@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from lagdelta.exceptions import SymmetryViolation
-from lagdelta.cubic import (CubicForm, LagrangianPointData, cubic_triples,
+from lagdelta.cubic import (LagrangianPointData, cubic_triples,
                             gauss_components, gauss_curvature,
-                            mean_curvature, mean_curvature_dense,
-                            point_data_from_json, point_data_to_json,
-                            random_cubic_form, rotate_cubic, scatter_cubic,
-                            symmetrize_cubic, tau_from_cubic, validate_cubic)
+                            mean_curvature, point_data_from_json,
+                            point_data_to_json, random_cubic_form,
+                            rotate_cubic, scatter_cubic, symmetrize_cubic,
+                            symmetry_deviation, tau_from_cubic,
+                            validate_cubic)
 from lagdelta.frames import rotate_tensor, scalar_tau, sectional_curvature
 
 LAM = 2.0 / np.sqrt(3.0)
@@ -29,14 +30,13 @@ def graph_equality_form():
 class TestValidateCubic:
     def test_empty_is_zero(self):
         form = validate_cubic([], 3)
-        assert np.abs(form.dense()).max() == 0.0
+        assert np.abs(form).max() == 0.0
 
     def test_permutation_reads_agree(self):
-        form = berger_form()
-        assert form.coeff(2, 1, 2) == pytest.approx(-LAM)
-        assert form.coeff(2, 2, 1) == pytest.approx(-LAM)
-        assert form.coeff(1, 2, 2) == pytest.approx(-LAM)
-        h = form.dense()
+        h = berger_form()
+        assert h[1, 0, 1] == pytest.approx(-LAM)
+        assert h[1, 1, 0] == pytest.approx(-LAM)
+        assert h[0, 1, 1] == pytest.approx(-LAM)
         for perm in [(0, 2, 1), (1, 0, 2), (2, 1, 0)]:
             np.testing.assert_allclose(h, h.transpose(perm))
 
@@ -58,15 +58,14 @@ class TestValidateCubic:
 class TestDenseCore:
     """The batched core against per-point references written out here."""
 
-    def test_dense_matches_coeff(self):
+    def test_every_permutation_holds_the_sorted_entry(self):
         rng = np.random.default_rng(4)
         for n in range(2, 9):
-            form = random_cubic_form(n, rng)
-            h = form.dense()
-            for i in range(n):
-                for j in range(n):
-                    for k in range(n):
-                        assert h[i, j, k] == form.coeff(i + 1, j + 1, k + 1)
+            h = random_cubic_form(n, rng)
+            for i, j, k in np.ndindex(h.shape):
+                assert h[i, j, k] == h[tuple(sorted((i, j, k)))]
+            # already canonical: the point data stores the same bits
+            assert np.array_equal(LagrangianPointData(n, 0.0, h).h, h)
 
     def test_random_form_is_scalar_draw_stream(self):
         for n in (2, 5, 9):
@@ -74,16 +73,17 @@ class TestDenseCore:
             expected = {(a, b, c): 0.5 * scalar.standard_normal()
                         for a in range(1, n + 1) for b in range(a, n + 1)
                         for c in range(b, n + 1)}
-            form = random_cubic_form(n, np.random.default_rng(n), scale=0.5)
-            assert form.coeffs == expected
+            h = random_cubic_form(n, np.random.default_rng(n), scale=0.5)
+            assert {(a, b, c): h[a - 1, b - 1, c - 1]
+                    for a, b, c in expected} == expected
 
     def test_batch_equals_per_point(self):
         rng = np.random.default_rng(8)
         for n in range(3, 13):
             forms = [random_cubic_form(n, rng) for _ in range(20)]
-            dense = np.stack([f.dense() for f in forms])
+            dense = np.stack(forms)
             comps = gauss_components(dense, -0.6)
-            H, h2 = mean_curvature_dense(dense)
+            H, h2 = mean_curvature(dense)
             for s, form in enumerate(forms):
                 point = LagrangianPointData(n, -0.6, form)
                 assert np.array_equal(comps[s],
@@ -95,14 +95,14 @@ class TestDenseCore:
                 for a in range(n):
                     acc = 0.0
                     for b in range(n):
-                        acc += form.coeff(a + 1, b + 1, b + 1)
+                        acc += form[a, b, b]
                     Href[a] = acc / n
                 assert np.array_equal(Hp, Href) and h2p == Href @ Href
 
     def test_gauss_matches_written_formula(self):
         rng = np.random.default_rng(9)
         for n in (3, 6):
-            h = random_cubic_form(n, rng).dense()
+            h = random_cubic_form(n, rng)
             R = np.zeros((n,) * 4)
             for a, b, c, d in np.ndindex(R.shape):
                 R[a, b, c, d] = (sum(h[e, a, d] * h[e, b, c]
@@ -134,9 +134,44 @@ class TestDenseCore:
              + raw[2, 0, 1] + raw[2, 1, 0]) / 6.0)
 
 
+class TestPointData:
+    """The one stored format: a read-only, exactly symmetric array."""
+
+    def test_canonical_copy(self):
+        h = scatter_cubic(np.zeros((3, 3, 3)), [(0, 1, 2)], 1.0)
+        h[2, 1, 0] = 1.0 + 1e-13  # asymmetric within the tolerance
+        h[1, 1, 1] = -0.0
+        data = LagrangianPointData(3, 0.0, h)
+        assert symmetry_deviation(data.h) == 0.0
+        assert all(data.h[p] == 1.0 for p in [(0, 1, 2), (2, 1, 0), (1, 2, 0)])
+        assert not np.signbit(data.h).any()  # -0.0 is stored as 0.0
+        assert not data.h.flags.writeable
+        with pytest.raises(ValueError):
+            data.h[0, 0, 0] = 1.0
+
+    @pytest.mark.parametrize("h,match", [
+        (np.zeros((3, 3)), "shape"),
+        (np.zeros((3, 3, 4)), "shape"),
+        (np.zeros((4, 4, 4)), "mismatch"),
+        (np.full((3, 3, 3), np.nan), "finite"),
+        (np.eye(3)[:, :, None] * np.arange(3.0), "symmetric"),
+    ])
+    def test_rejected(self, h, match):
+        with pytest.raises(ValueError, match=match):
+            LagrangianPointData(3, 0.0, h)
+
+    def test_symmetry_deviation_last_three_axes(self):
+        t = np.random.default_rng(2).standard_normal((2, 3, 3, 3))
+        want = max(np.abs(t[s] - t[s].transpose(p)).max() for s in (0, 1)
+                   for p in [(0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1),
+                             (2, 1, 0)])
+        assert symmetry_deviation(t) == want
+        assert symmetry_deviation(symmetrize_cubic(t[0])) < 1e-15
+
+
 class TestGaussCurvature:
     def test_totally_geodesic_space_form(self):
-        data = LagrangianPointData(4, 1.0, CubicForm(4))
+        data = LagrangianPointData(4, 1.0, np.zeros((4,) * 3))
         R = gauss_curvature(data)
         eye = np.eye(4)
         assert sectional_curvature(R, eye[0], eye[2]) == pytest.approx(1.0)
@@ -157,9 +192,15 @@ class TestGaussCurvature:
 
 class TestMeanCurvature:
     def test_zero_form(self):
-        H, h2 = mean_curvature(CubicForm(4))
+        H, h2 = mean_curvature(np.zeros((4,) * 3))
         assert h2 == 0.0
         np.testing.assert_array_equal(H, np.zeros(4))
+
+    def test_single_point_gives_scalar(self):
+        _, h2 = mean_curvature(graph_equality_form())
+        assert np.ndim(h2) == 0 and not isinstance(h2, np.ndarray)
+        _, h2s = mean_curvature(np.stack([graph_equality_form()] * 2))
+        assert h2s.shape == (2,) and h2s[1] == h2
 
     def test_berger_is_minimal(self):
         H, h2 = mean_curvature(berger_form())
@@ -173,7 +214,7 @@ class TestMeanCurvature:
 
 class TestTauFromCubic:
     def test_space_form(self):
-        data = LagrangianPointData(3, 1.0, CubicForm(3))
+        data = LagrangianPointData(3, 1.0, np.zeros((3,) * 3))
         assert tau_from_cubic(data) == pytest.approx(3.0)
 
     def test_berger(self):
@@ -218,13 +259,13 @@ class TestJson:
         text = point_data_to_json(data)
         back = point_data_from_json(text)
         assert back.n == 3 and back.c == 1.0 and back.source == "berger"
-        np.testing.assert_allclose(back.h.dense(), data.h.dense())
+        np.testing.assert_allclose(back.h, data.h)
 
     def test_permutation_duplicates_allowed(self):
         text = json.dumps({"n": 3, "c": 0.0,
                            "h": [[1, 2, 2, 5.0], [2, 1, 2, 5.0]]})
         data = point_data_from_json(text)
-        assert data.h.coeff(2, 2, 1) == 5.0
+        assert data.h[1, 1, 0] == 5.0
 
     def test_malformed_json_reports_position(self):
         with pytest.raises(ValueError, match="line"):

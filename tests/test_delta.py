@@ -3,8 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from lagdelta.cubic import (MAX_N, LagrangianPointData, gauss_curvature,
-                            random_cubic_form)
+from lagdelta.cubic import (MAX_N, LagrangianPointData, gauss_components,
+                            gauss_curvature, random_cubic_form,
+                            validate_cubic)
 from lagdelta.delta import (DeltaTuple, OptimizerOptions, SubspaceConfig,
                             config_objective, delta_invariant,
                             delta_invariant_batch, enumerate_tuples,
@@ -256,6 +257,15 @@ class TestInputContract:
         comps[1, 0, 1, 1, 0] = np.inf
         with pytest.raises(ValueError, match="finite"):
             delta_invariant_batch(comps, DeltaTuple(4, (2,)), opts)
+
+    def test_batch_huge_components_rejected(self):
+        # finite components whose squared gradient norm would overflow
+        h = validate_cubic([(1, 1, 2, 1e150), (2, 3, 4, 1.0),
+                            (1, 1, 1, 2.0)], 4)
+        comps = gauss_components(h, 0.5)[None]
+        assert np.isfinite(comps).all()
+        with pytest.raises(ValueError, match="magnitude"):
+            delta_invariant_batch(comps, DeltaTuple(4, (2,)), FAST)
 
 
 def _brute_assignments(n, parts):

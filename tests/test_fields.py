@@ -12,7 +12,7 @@ def constant_flat_field(alpha):
     return CubicField(3, 0.0, BOX,
                       lambda u: (np.eye(3), alpha.copy()),
                       lambda u: np.zeros((3, 3, 3)),
-                      constant_frame=True, name="flat-const")
+                      name="flat-const")
 
 
 def complex_multiplication_alpha():
@@ -49,8 +49,8 @@ class TestExoticField:
         fld = exotic_s3_field()
         data = fld.lagrangian_data(np.array([1.0, 0.0, 0.0, 0.0]))
         lam = 2 / np.sqrt(3)
-        assert data.h.coeff(1, 1, 1) == pytest.approx(lam)
-        assert data.h.coeff(1, 2, 2) == pytest.approx(-lam)
+        assert data.h[0, 0, 0] == pytest.approx(lam)
+        assert data.h[0, 1, 1] == pytest.approx(-lam)
         assert tau_from_cubic(data) == pytest.approx(1 / 3)
         _, h2 = mean_curvature(data.h)
         assert h2 == 0.0

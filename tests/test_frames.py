@@ -7,16 +7,16 @@ from lagdelta.frames import (CurvatureTensor, bianchi_deviation,
                              pair_curvature_operator, riemann_symmetry_deviation,
                              rotate_tensor, scalar_tau, sectional_curvature,
                              tau_subspace)
-from lagdelta.cubic import (CubicForm, LagrangianPointData, gauss_curvature,
-                            random_cubic_form)
+from lagdelta.cubic import (LagrangianPointData, gauss_curvature,
+                            random_cubic_form, validate_cubic)
 
 LAM = 2.0 / np.sqrt(3.0)
 
 
 def berger_sphere_data():
     """Cubic data of the minimal Berger-sphere point (c = 1, n = 3)."""
-    form = CubicForm(3, {(1, 1, 1): LAM, (1, 2, 2): -LAM})
-    return LagrangianPointData(3, 1.0, form)
+    h = validate_cubic([(1, 1, 1, LAM), (1, 2, 2, -LAM)], 3)
+    return LagrangianPointData(3, 1.0, h)
 
 
 def berger_sphere_tensor():

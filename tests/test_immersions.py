@@ -25,7 +25,7 @@ class TestGraphImmersion:
     def test_zero_potential_is_flat_plane(self):
         chart = graph_immersion(lambda x: 0.0, grad=lambda x: np.zeros(3), n=3)
         res = induced_data_flat(chart, np.array([0.2, -0.1, 0.0]))
-        assert np.abs(res.data.h.dense()).max() < 1e-10
+        assert np.abs(res.data.h).max() < 1e-10
 
     def test_quadratic_potential_has_zero_form_everywhere(self):
         A = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, -0.3], [0.0, -0.3, 0.7]])
@@ -33,17 +33,17 @@ class TestGraphImmersion:
                                 grad=lambda x: A @ x, n=3)
         for x in (np.zeros(3), np.array([0.3, 0.1, -0.2])):
             res = induced_data_flat(chart, x)
-            assert np.abs(res.data.h.dense()).max() < 1e-8
+            assert np.abs(res.data.h).max() < 1e-8
 
     def test_equality_graph_coefficients_at_zero(self):
         res = induced_data_flat(graph_chart(), np.zeros(5))
         h = res.data.h
-        assert h.coeff(1, 1, 3) == pytest.approx(0.75, abs=1e-6)
-        assert h.coeff(2, 2, 3) == pytest.approx(0.75, abs=1e-6)
-        assert h.coeff(3, 3, 3) == pytest.approx(3.0, abs=1e-6)
-        assert h.coeff(3, 4, 4) == pytest.approx(1.0, abs=1e-6)
-        assert h.coeff(3, 5, 5) == pytest.approx(1.0, abs=1e-6)
-        assert h.coeff(1, 2, 3) == pytest.approx(0.0, abs=1e-6)
+        assert h[0, 0, 2] == pytest.approx(0.75, abs=1e-6)
+        assert h[1, 1, 2] == pytest.approx(0.75, abs=1e-6)
+        assert h[2, 2, 2] == pytest.approx(3.0, abs=1e-6)
+        assert h[2, 3, 3] == pytest.approx(1.0, abs=1e-6)
+        assert h[2, 4, 4] == pytest.approx(1.0, abs=1e-6)
+        assert h[0, 1, 2] == pytest.approx(0.0, abs=1e-6)
         _, h2 = mean_curvature(h)
         assert h2 == pytest.approx(1.69, abs=1e-6)
 
@@ -52,7 +52,7 @@ class TestGraphImmersion:
         F, _ = equality_graph_function(tup, 1.0)
         chart = graph_immersion(F, n=5)  # no analytic gradient
         res = induced_data_flat(chart, np.zeros(5))
-        assert res.data.h.coeff(3, 3, 3) == pytest.approx(3.0, abs=1e-4)
+        assert res.data.h[2, 2, 2] == pytest.approx(3.0, abs=1e-4)
 
     def test_kahler_pullback_vanishes(self):
         chart = graph_chart()
@@ -68,9 +68,9 @@ class TestGraphImmersion:
     def test_step_halving_stability(self):
         chart = graph_chart()
         x = 0.07 * np.ones(5)
-        coarse = induced_data_flat(chart, x).data.h.dense()
+        coarse = induced_data_flat(chart, x).data.h
         chart.step = chart.step / 2
-        fine = induced_data_flat(chart, x).data.h.dense()
+        fine = induced_data_flat(chart, x).data.h
         # analytic-gradient path: both are near exact; agree far below the
         # documented 1e-6 truncation estimate
         assert np.abs(coarse - fine).max() < 1e-5
@@ -124,7 +124,7 @@ class TestHorizontalExtraction:
         chart = ImmersionChart(2, "sphere", evaluator,
                                np.array([[-0.4, 0.4]] * 2), step=1e-4)
         res = induced_data_horizontal(chart, np.array([0.1, -0.2]))
-        assert np.abs(res.data.h.dense()).max() < 1e-6
+        assert np.abs(res.data.h).max() < 1e-6
         tau = tau_from_cubic(res.data)
         assert tau == pytest.approx(1.0, abs=1e-6)  # n(n-1)/2 at n=2
 

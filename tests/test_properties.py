@@ -1,0 +1,77 @@
+"""Property tests: the JSON round trip and the CLI's exit-code contract.
+
+Derandomized, so every run checks the same examples."""
+
+import json
+import os
+import tempfile
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lagdelta.cli import main
+from lagdelta.cubic import (LagrangianPointData, cubic_triples,
+                            point_data_from_json, point_data_to_json,
+                            validate_cubic)
+
+PROPERTY = settings(derandomize=True, deadline=None, database=None,
+                    max_examples=60)
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def point_data(draw):
+    n = draw(st.integers(3, 5))
+    triples = [tuple(t) for t in (cubic_triples(n) + 1).tolist()]
+    chosen = draw(st.lists(st.sampled_from(triples), unique=True))
+    entries = [(*t, draw(finite)) for t in chosen]
+    return LagrangianPointData(n, draw(finite), validate_cubic(entries, n))
+
+
+@PROPERTY
+@given(point_data())
+def test_json_round_trip_is_exact(data):
+    back = point_data_from_json(point_data_to_json(data))
+    assert back.n == data.n and back.c == data.c
+    assert back.h.tobytes() == data.h.tobytes()
+
+
+json_leaf = (st.none() | st.booleans() | st.integers(-3, 14) | st.floats()
+             | st.text(max_size=2))
+json_value = st.recursive(
+    json_leaf, lambda inner: (st.lists(inner, max_size=5)
+                              | st.dictionaries(st.text(max_size=2), inner,
+                                                max_size=3)),
+    max_leaves=12)
+
+
+@st.composite
+def delta_input(draw):
+    """Point data near the schema: well-formed, or with one part replaced
+    by an arbitrary JSON value."""
+    n = draw(st.integers(1, 13))
+    index = st.integers(0, n + 1)
+    entry = st.tuples(index, index, index, st.floats()).map(list)
+    obj = {"n": n, "c": draw(st.floats()),
+           "h": draw(st.lists(entry, max_size=4))}
+    part = draw(st.sampled_from(["none", "n", "c", "h", "entry", "object"]))
+    if part == "object":
+        return draw(json_value)
+    if part == "entry" and obj["h"]:
+        obj["h"][0][draw(st.integers(0, 3))] = draw(json_value)
+    elif part in obj:
+        obj[part] = draw(json_value)
+    return obj
+
+
+@PROPERTY
+@given(delta_input())
+def test_delta_input_exits_0_or_2(obj):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "point.json")
+        with open(path, "w") as fh:
+            fh.write(json.dumps(obj))
+        rc = main(["delta", "--input", path, "--tuple", "2",
+                   "--restarts", "1", "--max-iters", "5"])
+    assert rc in (0, 2)
