@@ -4,9 +4,9 @@ Lagrangian data in complex space forms.
 Sign and normalization conventions live in docs/conventions.md.
 """
 
-from .frames import (CurvatureTensor, MetricFrame, constant_curvature,
-                     gram_schmidt, rotate_tensor, scalar_tau,
-                     sectional_curvature, tau_subspace)
+from .frames import (CurvatureTensor, constant_curvature, gram_schmidt,
+                     rotate_tensor, scalar_tau, sectional_curvature,
+                     tau_subspace)
 from .cubic import (LagrangianPointData, gauss_curvature, mean_curvature,
                     point_data_from_json, point_data_to_json,
                     random_cubic_form, rotate_cubic, tau_from_cubic,
@@ -35,8 +35,8 @@ from .gallery import GALLERY, Claim, example_names, mesh_export, run_example
 
 __all__ = [
     # frames
-    "CurvatureTensor", "MetricFrame", "constant_curvature", "gram_schmidt",
-    "rotate_tensor", "scalar_tau", "sectional_curvature", "tau_subspace",
+    "CurvatureTensor", "constant_curvature", "gram_schmidt", "rotate_tensor",
+    "scalar_tau", "sectional_curvature", "tau_subspace",
     # cubic data
     "LagrangianPointData", "gauss_curvature", "mean_curvature",
     "point_data_from_json", "point_data_to_json", "random_cubic_form",

@@ -1,14 +1,16 @@
 """Command-line surface: verification runs, delta computation, audits.
 
 Exit codes are a stable contract: 0 success, 1 claim or soundness
-failure, 2 usage or input error.  JSON numbers are serialized at 17
-significant digits so identical seeds and flags give byte-identical
-reports.
+failure, 2 usage or input error.  Commands raise ValueError (or OSError)
+for bad input, and ``main`` reports it as one ``error:`` line.  JSON
+numbers are serialized at 17 significant digits so identical seeds and
+flags give byte-identical reports.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -17,11 +19,11 @@ from .cubic import (MAX_N, gauss_curvature, mean_curvature,
                     point_data_from_json)
 from .delta import (MAX_GRID_RESOLUTION, DeltaTuple, OptimizerOptions,
                     delta_invariant, oracle_delta_dim3, oracle_delta_grid)
-from .exceptions import ChartDomainError, HorizontalityError, Inadmissible
+from .exceptions import Inadmissible
 from .frames import scalar_tau
 from .gallery import example_names, example_point_data, run_example
-from .inequalities import (InequalityVariant, bound_report, select_improved,
-                           soundness_audit)
+from .inequalities import (EQ_TOL, InequalityVariant, bound_report,
+                           select_improved, soundness_audit)
 
 __all__ = ["main"]
 
@@ -29,6 +31,19 @@ __all__ = ["main"]
 # gradient scratch, holds at most count * restarts * n**4 / 2 floats, so
 # the budget keeps it under 200 MB.
 MAX_BATCH_ELEMENTS = 50_000_000
+
+# Inclusive range of each numeric option, by argparse dest, and how the
+# error names it.  ``main`` checks them before any command runs; NaN fails
+# both comparisons, so it is refused too.
+LIMITS = {
+    "samples": (1, math.inf, ">= 1"),
+    "count": (1, math.inf, ">= 1"),
+    "restarts": (1, math.inf, ">= 1"),
+    "grid_resolution": (1, MAX_GRID_RESOLUTION,
+                        f"in 1..{MAX_GRID_RESOLUTION}"),
+    "seed": (0, math.inf, ">= 0"),
+    "eq_tol": (0.0, sys.float_info.max, "finite and >= 0"),
+}
 
 
 def _format_float(x: float) -> str:
@@ -106,28 +121,25 @@ def _parse_n_spec(spec: str) -> list[int]:
     return list(range(lo, hi + 1))
 
 
-def _batch_error(count: int, restarts: int, n: int) -> str | None:
-    """Why a run of ``count`` samples with ``restarts`` starts each at
-    dimension n is refused, or None when it fits the element budget."""
-    if restarts < 1:
-        return "--restarts must be >= 1"
+def _check_limits(args):
+    for name, (low, high, bound) in LIMITS.items():
+        value = getattr(args, name, None)
+        if value is not None and not low <= value <= high:
+            raise ValueError(f"--{name.replace('_', '-')} must be {bound}")
+
+
+def _check_budget(count: int, restarts: int, n: int):
+    """Refuse a run of ``count`` samples with ``restarts`` starts each at
+    dimension n that exceeds the element budget."""
     if count * restarts * n ** 4 > MAX_BATCH_ELEMENTS:
-        return (f"count * restarts * n**4 = {count * restarts * n ** 4} "
-                f"exceeds the budget of {MAX_BATCH_ELEMENTS} elements; "
-                f"lower --count or --restarts")
-    return None
+        raise ValueError(f"count * restarts * n**4 = "
+                         f"{count * restarts * n ** 4} exceeds the budget of "
+                         f"{MAX_BATCH_ELEMENTS} elements; lower --count or "
+                         f"--restarts")
 
 
 def _cmd_verify(args) -> int:
-    if args.samples is not None and args.samples < 1:
-        print("error: --samples must be >= 1", file=sys.stderr)
-        return 2
-    try:
-        claims = run_example(args.example, samples=args.samples,
-                             seed=args.seed)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
+    claims = run_example(args.example, samples=args.samples, seed=args.seed)
     all_ok = all(c.passed for c in claims)
     for c in claims:
         status = "pass" if c.passed else "FAIL"
@@ -166,38 +178,17 @@ def _cmd_verify(args) -> int:
 
 def _cmd_delta(args) -> int:
     if bool(args.input) == bool(args.example):
-        print("error: pass exactly one of --input or --example",
-              file=sys.stderr)
-        return 2
-    if not 1 <= args.grid_resolution <= MAX_GRID_RESOLUTION:
-        print(f"error: --grid-resolution must be in 1..{MAX_GRID_RESOLUTION}",
-              file=sys.stderr)
-        return 2
-    try:
-        if args.input:
-            with open(args.input) as fh:
-                data = point_data_from_json(fh.read())
-        else:
-            data = example_point_data(args.example)
-        tup = _parse_tuple(args.tuple_spec, data.n)
-        R = gauss_curvature(data)
-    except KeyError as exc:  # unknown example name
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:  # unreadable or invalid input
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    error = _batch_error(1, args.restarts, data.n)
-    if error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-
-    try:
-        opts = OptimizerOptions(restarts=args.restarts,
-                                max_iters=args.max_iters, seed=args.seed)
-    except ValueError as exc:  # --max-iters below 1
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError("pass exactly one of --input or --example")
+    if args.input:
+        with open(args.input) as fh:
+            data = point_data_from_json(fh.read())
+    else:
+        data = example_point_data(args.example)
+    tup = _parse_tuple(args.tuple_spec, data.n)
+    R = gauss_curvature(data)
+    _check_budget(1, args.restarts, data.n)
+    opts = OptimizerOptions(restarts=args.restarts, max_iters=args.max_iters,
+                            seed=args.seed)
     value, config, diag = delta_invariant(R, tup, opts)
     _, h2 = mean_curvature(data.h)
 
@@ -222,21 +213,18 @@ def _cmd_delta(args) -> int:
               "the value is a best-found bound", file=sys.stderr)
 
     if args.oracle:
-        try:
-            if data.n == 3:
-                oracle = oracle_delta_dim3(R)
-                print(f"dimension-3 oracle: {oracle:.12g} "
-                      f"(difference {abs(oracle - value):.3e})")
-                payload["oracle_dim3"] = oracle
-            elif data.n == 4:
-                oracle = oracle_delta_grid(R, tup, args.grid_resolution)
-                print(f"grid oracle (resolution {args.grid_resolution}): "
-                      f"{oracle:.12g}")
-                payload["oracle_grid"] = oracle
-            else:
-                print("no oracle available for n > 4", file=sys.stderr)
-        except Inadmissible as exc:
-            print(f"oracle unavailable: {exc}", file=sys.stderr)
+        if data.n == 3:
+            oracle = oracle_delta_dim3(R)
+            print(f"dimension-3 oracle: {oracle:.12g} "
+                  f"(difference {abs(oracle - value):.3e})")
+            payload["oracle_dim3"] = oracle
+        elif data.n == 4:
+            oracle = oracle_delta_grid(R, tup, args.grid_resolution)
+            print(f"grid oracle (resolution {args.grid_resolution}): "
+                  f"{oracle:.12g}")
+            payload["oracle_grid"] = oracle
+        else:
+            print("no oracle available for n > 4", file=sys.stderr)
 
     # the CSV row of a bare delta run, where no bound is evaluated
     row = {"variant": "none", "tuple": tup.parts, "n": data.n, "c": data.c,
@@ -250,11 +238,7 @@ def _cmd_delta(args) -> int:
                 variant = InequalityVariant.OLD
         else:
             variant = InequalityVariant(args.variant)
-        try:
-            rep = bound_report(data, variant, tup, value, args.eq_tol, diag)
-        except Inadmissible as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        rep = bound_report(data, variant, tup, value, args.eq_tol, diag)
         row = payload["report"] = rep.to_dict()
         print(f"{variant.value}: rhs = {rep.rhs:.12g}, "
               f"slack = {rep.slack:.12g}, equality = {rep.equality}")
@@ -268,38 +252,20 @@ def _cmd_delta(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    try:
-        ns = _parse_n_spec(args.n_spec)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.count < 1:
-        print("error: --count must be >= 1", file=sys.stderr)
-        return 2
-    error = _batch_error(args.count, args.restarts, ns[-1])
-    if error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    ns = _parse_n_spec(args.n_spec)
+    _check_budget(args.count, args.restarts, ns[-1])
     variants = None
     if args.variants:
-        try:
-            variants = [InequalityVariant(v.strip())
-                        for v in args.variants.split(",")]
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        variants = [InequalityVariant(v.strip())
+                    for v in args.variants.split(",")]
     opts = OptimizerOptions(restarts=args.restarts, seed=args.seed)
     threshold = -1e-9
     worst = np.inf
     all_pairs = []
     all_results = []
     for n in ns:
-        try:
-            res = soundness_audit(n, args.count, args.seed,
-                                  variants=variants, opts=opts)
-        except (ValueError, Inadmissible) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        res = soundness_audit(n, args.count, args.seed, variants=variants,
+                              opts=opts)
         all_results.append((n, res))
         for pair in res["pairs"]:
             pair["n"] = n
@@ -311,9 +277,7 @@ def _cmd_audit(args) -> int:
                   + (f"  [{pair['unconverged']} unconverged]"
                      if pair["unconverged"] else ""))
     if not all_pairs:
-        print("error: no admissible (variant, tuple) pairs matched",
-              file=sys.stderr)
-        return 2
+        raise ValueError("no admissible (variant, tuple) pairs matched")
     ok = worst >= threshold
     print(f"minimum relative slack over all pairs: {worst:.3e} "
           f"({'OK' if ok else 'VIOLATION'})")
@@ -338,7 +302,7 @@ def _cmd_audit(args) -> int:
                                 "tuple": parts, "n": n, "c": 0.0,
                                 "delta": deltas[s], "h2": h2[s],
                                 "rhs": rhs[s], "slack": slack[s],
-                                "equality": bool(abs(slack[s]) <= 1e-6)}))
+                                "equality": bool(abs(slack[s]) <= EQ_TOL)}))
             _emit("\n".join(rows), args.out)
     return 0 if ok else 1
 
@@ -351,6 +315,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     pv = sub.add_parser("verify", help="run a gallery example's claim suite")
+    pv.set_defaults(run=_cmd_verify)
     pv.add_argument("example", help="one of: " + ", ".join(example_names()))
     pv.add_argument("--samples", type=int, default=None)
     pv.add_argument("--seed", type=int, default=0)
@@ -361,6 +326,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          "H^2 and the example's bound slack")
 
     pd = sub.add_parser("delta", help="compute a delta-invariant")
+    pd.set_defaults(run=_cmd_delta)
     pd.add_argument("--input", help="JSON file with {n, c, h} point data")
     pd.add_argument("--example", help="named example as the data source")
     pd.add_argument("--tuple", dest="tuple_spec", required=True,
@@ -371,7 +337,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--seed", type=int, default=0)
     pd.add_argument("--restarts", type=int, default=32)
     pd.add_argument("--max-iters", type=int, default=1000)
-    pd.add_argument("--eq-tol", type=float, default=1e-6)
+    pd.add_argument("--eq-tol", type=float, default=EQ_TOL)
     pd.add_argument("--oracle", action="store_true",
                     help="cross-check against the n<=4 oracles")
     pd.add_argument("--grid-resolution", type=int, default=24)
@@ -379,6 +345,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--out")
 
     pa = sub.add_parser("audit", help="soundness sweep on random data")
+    pa.set_defaults(run=_cmd_audit)
     pa.add_argument("--n", dest="n_spec", required=True,
                     help="dimension or range, e.g. 4 or 3..6")
     pa.add_argument("--count", type=int, required=True)
@@ -392,23 +359,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "delta":
-            return _cmd_delta(args)
-        if args.command == "audit":
-            return _cmd_audit(args)
-    except (ChartDomainError, HorizontalityError) as exc:
+        _check_limits(args)
+        return args.run(args)
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    parser.print_usage(file=sys.stderr)
-    return 2
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .cubic import LagrangianPointData, symmetrize_cubic, symmetry_deviation
-from .frames import MetricFrame, gram_schmidt
+from .frames import gram_schmidt
 
 __all__ = [
     "CubicField",
@@ -48,14 +48,14 @@ class CubicField:
     sampler: Callable[[int, np.random.Generator], np.ndarray] | None = None
     name: str = ""
 
-    def point_data(self, u) -> tuple[MetricFrame, np.ndarray]:
-        """Orthonormal-frame cubic coefficients at a chart point."""
+    def point_data(self, u) -> tuple[np.ndarray, np.ndarray]:
+        """The orthonormal frame and its cubic coefficients at a chart
+        point."""
         G, alpha = self.frame_data(np.asarray(u, dtype=float))
-        mf = gram_schmidt(G)
-        E = mf.frame
+        E = gram_schmidt(G)
         C = np.einsum("mij,mk->ijk", alpha, G)
         dense = np.einsum("ijk,iA,jB,kC->ABC", C, E, E, E, optimize=True)
-        return mf, symmetrize_cubic(dense)
+        return E, symmetrize_cubic(dense)
 
     def lagrangian_data(self, u) -> LagrangianPointData:
         _, h = self.point_data(u)

@@ -17,7 +17,6 @@ from .exceptions import DegeneratePlane, NotPositiveDefinite
 
 __all__ = [
     "CurvatureTensor",
-    "MetricFrame",
     "constant_curvature",
     "gram_schmidt",
     "sectional_curvature",
@@ -93,32 +92,11 @@ def constant_curvature(n: int, c: float) -> CurvatureTensor:
     return CurvatureTensor(n, comp)
 
 
-@dataclass(frozen=True)
-class MetricFrame:
-    """An orthonormal frame for a coordinate Gram matrix.
-
-    Columns of ``frame`` express the orthonormal basis in the coordinate
-    basis, so ``frame.T @ gram @ frame`` is the identity.
-    """
-
-    n: int
-    gram: np.ndarray
-    frame: np.ndarray
-    tol: float = field(default=1e-10, compare=False)
-
-    def __post_init__(self):
-        gram = np.asarray(self.gram, dtype=float)
-        frame = np.asarray(self.frame, dtype=float)
-        resid = np.abs(frame.T @ gram @ frame - np.eye(self.n)).max()
-        if resid > self.tol:
-            raise ValueError(f"frame is not orthonormal for gram: residual {resid:.3e}")
-        object.__setattr__(self, "gram", gram.copy())
-        object.__setattr__(self, "frame", frame.copy())
-
-
-def gram_schmidt(gram: np.ndarray) -> MetricFrame:
+def gram_schmidt(gram: np.ndarray) -> np.ndarray:
     """Orthonormalize the standard basis against a Gram matrix.
 
+    Returns the frame, whose columns express the orthonormal basis in the
+    coordinate basis, so ``frame.T @ gram @ frame`` is the identity.
     Processes basis vectors in index order with one re-orthogonalization
     pass, so the output is deterministic.  Rejects non-positive-definite
     input, reporting the first failing leading minor.
@@ -142,7 +120,11 @@ def gram_schmidt(gram: np.ndarray) -> MetricFrame:
         if nrm2 <= 1e-13 * gram[k, k] or not np.isfinite(nrm2):
             raise NotPositiveDefinite(k + 1)
         cols[:, k] = v / np.sqrt(nrm2)
-    return MetricFrame(n, gram, cols)
+    resid = np.abs(cols.T @ gram @ cols - np.eye(n)).max()
+    if resid > 1e-10:
+        raise ValueError(f"frame is not orthonormal for gram: "
+                         f"residual {resid:.3e}")
+    return cols
 
 
 def sectional_curvature(R: CurvatureTensor, u: np.ndarray, v: np.ndarray) -> float:

@@ -227,7 +227,7 @@ def example_names() -> list[str]:
 
 def _canonical(name: str) -> str:
     if name not in GALLERY:
-        raise KeyError(f"unknown example {name!r}; available: "
+        raise ValueError(f"unknown example {name!r}; available: "
                        f"{', '.join(example_names())}")
     return _ALIASES.get(name, name)
 
@@ -284,7 +284,7 @@ def mesh_export(name: str, samples: int = 25, seed: int = 0):
 
 def run_example(name: str, samples: int | None = None,
                 seed: int = 0) -> list[Claim]:
-    _canonical(name)  # KeyError for an unknown name
+    _canonical(name)  # ValueError for an unknown name
     fn = GALLERY[name]
     if samples is None:
         return fn(seed=seed)

@@ -130,7 +130,7 @@ def _raw_cubic(chart: ImmersionChart, x: np.ndarray,
     if eigs[0] < 1e-10:
         raise ValueError(f"induced metric is degenerate: min eigenvalue "
                          f"{eigs[0]:.3e}")
-    frame = gram_schmidt(metric).frame
+    frame = gram_schmidt(metric)
     if chart.jacobian is not None:
         d2 = second_derivatives(None, x, h=chart.step, jac=chart.jacobian)
     else:
@@ -561,7 +561,7 @@ def intrinsic_curvature_fd(chart: ImmersionChart, x: np.ndarray,
                 - np.einsum("mjp,pik->mijk", gam, gam))
         g0 = metric(x)
         lowered = np.einsum("lm,mijk->ijkl", g0, riem)
-        frame = gram_schmidt(g0).frame
+        frame = gram_schmidt(g0)
         return np.einsum("ijkl,iA,jB,kC,lD->ABCD", lowered, frame, frame,
                          frame, frame, optimize=True)
 

@@ -37,6 +37,9 @@ __all__ = [
 
 _THIRD = Fraction(1, 3)
 
+# Default |slack| at or below which a bound counts as attained.
+EQ_TOL = 1e-6
+
 
 class InequalityVariant(str, enum.Enum):
     OLD = "old"
@@ -166,7 +169,7 @@ class InequalityReport:
 
 def evaluate(data: LagrangianPointData, variant: InequalityVariant,
              tup: DeltaTuple, opts: OptimizerOptions | None = None,
-             eq_tol: float = 1e-6) -> InequalityReport:
+             eq_tol: float = EQ_TOL) -> InequalityReport:
     """Evaluate one bound on one data point.
 
     delta comes from :func:`~lagdelta.delta.delta_value`: the exact
@@ -179,7 +182,7 @@ def evaluate(data: LagrangianPointData, variant: InequalityVariant,
 
 
 def bound_report(data: LagrangianPointData, variant: InequalityVariant,
-                 tup: DeltaTuple, delta: float, eq_tol: float = 1e-6,
+                 tup: DeltaTuple, delta: float, eq_tol: float = EQ_TOL,
                  diagnostics=None) -> InequalityReport:
     """Compare a given delta value with one bound ``a * H^2 + b * c``.
 

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import lagdelta
 from lagdelta.cli import MAX_BATCH_ELEMENTS, main
 from lagdelta.delta import MAX_GRID_RESOLUTION
 
@@ -42,6 +46,22 @@ class TestVerify:
         payload = json.loads(out.read_text())
         assert payload["passed"] is True
         assert any(c["name"] == "delta2" for c in payload["claims"])
+
+
+@pytest.mark.parametrize("command", [
+    pytest.param(["verify", "thm-9.2", "--samples", "2"], id="verify"),
+    pytest.param(["delta", "--input", None, "--tuple", "2", "--restarts", "4"],
+                 id="delta"),
+    pytest.param(["audit", "--n", "3", "--count", "2"], id="audit"),
+])
+def test_negative_seed_exits_2(tmp_path, capsys, command):
+    path = write_point(tmp_path, {"n": 4, "c": 0.0, "h": []})
+    argv = [path if arg is None else arg for arg in command]
+    assert main(argv + ["--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --seed")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""  # rejected before any work ran
 
 
 class TestDelta:
@@ -155,6 +175,29 @@ class TestDelta:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: --restarts")
         assert captured.out == ""
+
+    @pytest.mark.parametrize("eq_tol", ["nan", "-1", "inf"])
+    def test_eq_tol_not_finite_nonnegative_exits_2(self, capsys, eq_tol):
+        assert main(["delta", "--example", "exotic-s3", "--tuple", "2",
+                     "--variant", "first", "--eq-tol", eq_tol]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --eq-tol")
+        assert captured.out == ""
+
+    def test_missing_file_exits_2_in_a_real_process(self, tmp_path):
+        # through `sys.exit(main())`, which the in-process tests skip
+        src = os.path.dirname(os.path.dirname(lagdelta.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "lagdelta.cli", "delta", "--input",
+             str(tmp_path / "missing.json"), "--tuple", "2"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
 
     def test_max_iters_below_one_exits_2(self, tmp_path, capsys):
         path = write_point(tmp_path, {"n": 4, "c": 0.0, "h": []})

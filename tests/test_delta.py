@@ -179,6 +179,11 @@ class TestOracleGrid:
                 assert grid_val >= opt_val - 1e-3
                 assert grid_val <= opt_val + 5e-3
 
+    def test_every_n4_tuple_has_grid_axes(self):
+        # so `delta --oracle` at n = 4 never meets an unsupported tuple
+        for tup in enumerate_tuples(4):
+            assert (4, tup.parts) in _GRID_AXES
+
     def test_resolution_below_one_rejected(self):
         with pytest.raises(ValueError, match="resolution"):
             oracle_delta_grid(constant_curvature(4, 1.0),

@@ -69,7 +69,7 @@ class TestExoticField:
 
     def test_metric_frame_scalings(self):
         fld = exotic_s3_field()
-        mf, _ = fld.point_data(np.array([0.0, 1.0, 0.0, 0.0]))
+        frame, _ = fld.point_data(np.array([0.0, 1.0, 0.0, 0.0]))
         np.testing.assert_allclose(
-            mf.frame, np.diag([1 / np.sqrt(3), 1 / np.sqrt(3), 1 / 3]),
+            frame, np.diag([1 / np.sqrt(3), 1 / np.sqrt(3), 1 / 3]),
             atol=1e-14)

@@ -30,21 +30,21 @@ def random_tensor(n, rng):
 
 class TestGramSchmidt:
     def test_identity_is_fixed(self):
-        mf = gram_schmidt(np.eye(3))
-        np.testing.assert_allclose(mf.frame, np.eye(3))
+        frame = gram_schmidt(np.eye(3))
+        np.testing.assert_allclose(frame, np.eye(3))
 
     def test_diagonal_scalings(self):
-        mf = gram_schmidt(np.diag([3.0, 3.0, 9.0]))
+        frame = gram_schmidt(np.diag([3.0, 3.0, 9.0]))
         np.testing.assert_allclose(
-            mf.frame, np.diag([1 / np.sqrt(3), 1 / np.sqrt(3), 1 / 3]),
+            frame, np.diag([1 / np.sqrt(3), 1 / np.sqrt(3), 1 / 3]),
             atol=1e-14)
 
     def test_random_spd_residual(self):
         rng = np.random.default_rng(7)
         A = rng.standard_normal((5, 5))
         G = A @ A.T + 5.0 * np.eye(5)
-        mf = gram_schmidt(G)
-        resid = np.abs(mf.frame.T @ G @ mf.frame - np.eye(5)).max()
+        frame = gram_schmidt(G)
+        resid = np.abs(frame.T @ G @ frame - np.eye(5)).max()
         assert resid < 1e-10
 
     def test_rejects_indefinite_with_minor_index(self):

@@ -2,14 +2,17 @@
 
 Derandomized, so every run checks the same examples."""
 
+import contextlib
+import io
 import json
+import math
 import os
 import tempfile
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lagdelta.cli import main
+from lagdelta.cli import LIMITS, main
 from lagdelta.cubic import (LagrangianPointData, cubic_triples,
                             point_data_from_json, point_data_to_json,
                             validate_cubic)
@@ -75,3 +78,51 @@ def test_delta_input_exits_0_or_2(obj):
         rc = main(["delta", "--input", path, "--tuple", "2",
                    "--restarts", "1", "--max-iters", "5"])
     assert rc in (0, 2)
+
+
+# A command line for each command, and the commands taking each option of
+# the limits table; an entry missing here fails the test below.
+COMMANDS = {
+    "verify": ["verify", "thm-9.2"],
+    "delta": ["delta", "--example", "exotic-s3", "--tuple", "2"],
+    "audit": ["audit", "--n", "3", "--count", "1"],
+}
+TAKES = {
+    "samples": ["verify"],
+    "count": ["audit"],
+    "restarts": ["delta", "audit"],
+    "grid_resolution": ["delta"],
+    "seed": ["verify", "delta", "audit"],
+    "eq_tol": ["delta"],
+}
+
+
+@st.composite
+def out_of_range(draw):
+    """A command line with one option of the limits table out of range."""
+    name = draw(st.sampled_from(sorted(LIMITS)))
+    low, high, _ = LIMITS[name]
+    if isinstance(low, float):
+        value = draw(st.sampled_from([math.nan, math.inf])
+                     | st.floats().filter(lambda v: not low <= v <= high))
+    else:
+        outside = st.integers(max_value=low - 1)
+        if high != math.inf:
+            outside |= st.integers(min_value=high + 1)
+        value = draw(outside)
+    flag = "--" + name.replace("_", "-")
+    command = COMMANDS[draw(st.sampled_from(TAKES[name]))]
+    return flag, command + [f"{flag}={value!r}"]
+
+
+@PROPERTY
+@given(out_of_range())
+def test_out_of_range_option_exits_2(case):
+    flag, argv = case
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc == 2
+    assert err.getvalue().startswith(f"error: {flag} ")
+    assert err.getvalue().count("\n") == 1
+    assert out.getvalue() == ""
