@@ -23,7 +23,7 @@ from .exceptions import Inadmissible
 from .frames import scalar_tau
 from .gallery import example_names, example_point_data, run_example
 from .inequalities import (EQ_TOL, InequalityVariant, bound_report,
-                           select_improved, soundness_audit)
+                           coefficients, select_improved, soundness_audit)
 
 __all__ = ["main"]
 
@@ -39,6 +39,7 @@ LIMITS = {
     "samples": (1, math.inf, ">= 1"),
     "count": (1, math.inf, ">= 1"),
     "restarts": (1, math.inf, ">= 1"),
+    "max_iters": (1, math.inf, ">= 1"),
     "grid_resolution": (1, MAX_GRID_RESOLUTION,
                         f"in 1..{MAX_GRID_RESOLUTION}"),
     "seed": (0, math.inf, ">= 0"),
@@ -185,6 +186,15 @@ def _cmd_delta(args) -> int:
     else:
         data = example_point_data(args.example)
     tup = _parse_tuple(args.tuple_spec, data.n)
+    variant = None
+    if args.variant == "auto":
+        try:
+            variant = select_improved(tup)
+        except Inadmissible:
+            variant = InequalityVariant.OLD
+    elif args.variant:
+        variant = InequalityVariant(args.variant)
+        coefficients(variant, tup)  # refuse an inadmissible pairing up front
     R = gauss_curvature(data)
     _check_budget(1, args.restarts, data.n)
     opts = OptimizerOptions(restarts=args.restarts, max_iters=args.max_iters,
@@ -230,14 +240,7 @@ def _cmd_delta(args) -> int:
     row = {"variant": "none", "tuple": tup.parts, "n": data.n, "c": data.c,
            "delta": value, "h2": h2, "rhs": float("nan"),
            "slack": float("nan"), "equality": False}
-    if args.variant:
-        if args.variant == "auto":
-            try:
-                variant = select_improved(tup)
-            except Inadmissible:
-                variant = InequalityVariant.OLD
-        else:
-            variant = InequalityVariant(args.variant)
+    if variant is not None:
         rep = bound_report(data, variant, tup, value, args.eq_tol, diag)
         row = payload["report"] = rep.to_dict()
         print(f"{variant.value}: rhs = {rep.rhs:.12g}, "

@@ -180,7 +180,6 @@ class DeltaDiagnostics:
     iterations: int
     converged: bool
     restarts_converged: int
-    restart_values: np.ndarray
     best_gap: float
     assignment_rounds: int
 
@@ -487,7 +486,6 @@ def _minimize_batch(components: np.ndarray, tup: DeltaTuple,
             iterations=iterations,
             converged=bool(best_conv[s]),
             restarts_converged=int(done[s].sum()),
-            restart_values=f[s].copy(),
             best_gap=gap,
             assignment_rounds=int(rounds_used[s]),
         ))

@@ -548,8 +548,7 @@ def intrinsic_curvature_fd(chart: ImmersionChart, x: np.ndarray,
             g = metric(y)
             dg = np.stack([(metric(y + hh * e) - metric(y - hh * e))
                            / (2 * hh) for e in np.eye(n)])
-            term = (np.einsum("ijl->ijl", dg) + np.einsum("jil->ijl", dg)
-                    - np.einsum("lij->ijl", dg))
+            term = dg + np.einsum("jil->ijl", dg) - np.einsum("lij->ijl", dg)
             return 0.5 * np.einsum("kl,ijl->kij", np.linalg.inv(g), term)
 
         gam = christoffel_h(x)

@@ -204,8 +204,16 @@ class TestDelta:
         assert main(["delta", "--input", path, "--tuple", "2",
                      "--max-iters", "0"]) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith("error:") and "max_iters" in captured.err
+        assert captured.err.startswith("error: --max-iters ")
         assert captured.out == ""
+
+    def test_inadmissible_variant_exits_2_before_optimizing(self, capsys):
+        assert main(["delta", "--example", "exotic-s3", "--tuple", "2",
+                     "--variant", "high-a"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""  # no delta was computed or printed
 
     def test_restarts_over_budget_exits_2(self, tmp_path, capsys):
         path = write_point(tmp_path, {"n": 12, "c": 0.0, "h": []})

@@ -91,6 +91,7 @@ TAKES = {
     "samples": ["verify"],
     "count": ["audit"],
     "restarts": ["delta", "audit"],
+    "max_iters": ["delta"],
     "grid_resolution": ["delta"],
     "seed": ["verify", "delta", "audit"],
     "eq_tol": ["delta"],
