@@ -34,8 +34,7 @@ for variant, tup in [(V.IMPROVED, DeltaTuple(5, (2,))),
                      (V.HIGH_A, DeltaTuple(6, (2, 2))),
                      (V.OLD, DeltaTuple(5, (2, 2)))]:
     data = synthesize_equality_data(tup, variant, lam=1.0, seed=3)
-    det = detect_equality_structure(data.h, tup, variant, tol=1e-10,
-                                    search=False)
+    det = detect_equality_structure(data.h, tup, variant, tol=1e-10)
     rep = evaluate(data, variant if variant != V.OLD else V.OLD, tup, opts)
     _, h2 = mean_curvature(data.h)
     print(f"\n{variant.value} structure on {tup}: pattern deviation "

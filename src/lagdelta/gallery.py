@@ -47,11 +47,21 @@ def _claim(name, worst, tol, note="", lower=False):
     return Claim(name, float(worst), tol, bool(ok), note)
 
 
-def _mesh_rows(chart, samples, seed, margin=0.05):
+# Both hyperplane families are checked in dimension 3, the flat one at
+# b = 1 and the projective one on a profile integrated with step 1e-3.
+_FAMILY_N = 3
+_FAMILY_TUPLE = DeltaTuple(_FAMILY_N, (_FAMILY_N - 1,))
+_FLAT_B = 1.0
+_CP_STEP = 1e-3
+# Share of each chart-domain side left out when sampling chart points.
+_MESH_MARGIN = 0.05
+
+
+def _mesh_rows(chart, samples, seed):
     rng = np.random.default_rng(seed)
     lo = chart.domain[:, 0]
     hi = chart.domain[:, 1]
-    pad = margin * (hi - lo)
+    pad = _MESH_MARGIN * (hi - lo)
     return rng.uniform(lo + pad, hi - pad, size=(samples, chart.n))
 
 
@@ -61,13 +71,14 @@ def _graph_chart(domain=None):
     return graph_immersion(F, grad=grad, n=5, domain=domain, name="graph-8.2")
 
 
-def _flat_chart(n: int = 3, b: float = 1.0):
-    return flat_equality_chart(n, b, clifford_legendrian(n))
+def _flat_chart():
+    return flat_equality_chart(_FAMILY_N, _FLAT_B,
+                               clifford_legendrian(_FAMILY_N))
 
 
-def _cp_profile(n: int, step: float):
-    return ode_family_integrate(n, OdeState(0.0, 0.0, 1.0, 0.0), (0.0, 0.5),
-                                step)
+def _cp_profile(step: float):
+    return ode_family_integrate(_FAMILY_N, OdeState(0.0, 0.0, 1.0, 0.0),
+                                (0.0, 0.5), step)
 
 
 def _cp_chart(traj):
@@ -142,20 +153,19 @@ def verify_graph_equality(samples: int = 1, seed: int = 0) -> list[Claim]:
     return claims
 
 
-def verify_flat_family(samples: int = 50, seed: int = 0,
-                       n: int = 3, b: float = 1.0) -> list[Claim]:
+def verify_flat_family(samples: int = 50, seed: int = 0) -> list[Claim]:
     """Flat hyperplane-tuple family: Lagrangian, non-minimal, and the
     c = 0 bound delta(n-1) <= n(n-1) H^2 / 4 is attained."""
-    chart = _flat_chart(n, b)
+    chart = _flat_chart()
     pts = _mesh_rows(chart, samples, seed)
-    tup = DeltaTuple(n, (n - 1,))
     worst_omega = worst_slack = 0.0
     min_h2 = np.inf
     opts = OptimizerOptions(restarts=6, seed=seed)
     for x in pts:
         worst_omega = max(worst_omega, lagrangian_residual(chart, x))
         ex = induced_data_flat(chart, x)
-        rep = evaluate(ex.data, InequalityVariant.HYPERPLANE_FLAT, tup, opts)
+        rep = evaluate(ex.data, InequalityVariant.HYPERPLANE_FLAT,
+                       _FAMILY_TUPLE, opts)
         min_h2 = min(min_h2, rep.h2)
         worst_slack = max(worst_slack, abs(rep.slack))
     return [
@@ -165,19 +175,17 @@ def verify_flat_family(samples: int = 50, seed: int = 0,
     ]
 
 
-def verify_cp_family(samples: int = 20, seed: int = 0, n: int = 3,
-                     step: float = 1e-3) -> list[Claim]:
+def verify_cp_family(samples: int = 20, seed: int = 0) -> list[Claim]:
     """Projective hyperplane-tuple family over the profile ODE: integrator
     residuals, unit-norm and horizontality of the chart, and equality of
     delta(n-1) <= (n-1)(n H^2 + 4)/4."""
-    traj = _cp_profile(n, step)
+    traj = _cp_profile(_CP_STEP)
     resid = float(trajectory_residuals(traj).max())
-    ratio = (trajectory_residuals(_cp_profile(n, 8e-3)).max()
-             / trajectory_residuals(_cp_profile(n, 4e-3)).max())
+    ratio = (trajectory_residuals(_cp_profile(8e-3)).max()
+             / trajectory_residuals(_cp_profile(4e-3)).max())
 
     chart = _cp_chart(traj)
     pts = _mesh_rows(chart, samples, seed)
-    tup = DeltaTuple(n, (n - 1,))
     worst_norm = worst_horiz = worst_slack = 0.0
     opts = OptimizerOptions(restarts=6, seed=seed)
     for x in pts:
@@ -185,10 +193,11 @@ def verify_cp_family(samples: int = 20, seed: int = 0, n: int = 3,
         worst_norm = max(worst_norm, abs(np.linalg.norm(L) - 1.0))
         worst_horiz = max(worst_horiz, horizontality_residual(chart, x))
         ex = induced_data_horizontal(chart, x)
-        rep = evaluate(ex.data, InequalityVariant.HYPERPLANE_CP, tup, opts)
+        rep = evaluate(ex.data, InequalityVariant.HYPERPLANE_CP,
+                       _FAMILY_TUPLE, opts)
         worst_slack = max(worst_slack, abs(rep.slack))
     return [
-        _claim("integrator-residual", resid, 1e-9, f"step {step:g}"),
+        _claim("integrator-residual", resid, 1e-9, f"step {_CP_STEP:g}"),
         _claim("integrator-order", ratio, 10.0,
                "step-halving ratio, expect about 16", lower=True),
         _claim("unit-norm", worst_norm, 1e-10),
@@ -245,9 +254,9 @@ def _mesh_chart_and_bound(name: str):
                 InequalityVariant.IMPROVED, DeltaTuple(5, (2,)))
     if name == "thm-9.2":
         return (_flat_chart(), InequalityVariant.HYPERPLANE_FLAT,
-                DeltaTuple(3, (2,)))
-    return (_cp_chart(_cp_profile(3, 1e-3)), InequalityVariant.HYPERPLANE_CP,
-            DeltaTuple(3, (2,)))
+                _FAMILY_TUPLE)
+    return (_cp_chart(_cp_profile(_CP_STEP)), InequalityVariant.HYPERPLANE_CP,
+            _FAMILY_TUPLE)
 
 
 def mesh_export(name: str, samples: int = 25, seed: int = 0):

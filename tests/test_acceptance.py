@@ -176,8 +176,7 @@ class TestAcceptance:
         ok_flags = []
         for variant, tup in cases:
             data = synthesize_equality_data(tup, variant, lam=1.0, seed=11)
-            det = detect_equality_structure(data.h, tup, variant, tol=1e-12,
-                                            search=False)
+            det = detect_equality_structure(data.h, tup, variant, tol=1e-12)
             worst_dev = max(worst_dev, det.deviation)
             rep = evaluate(data, variant, tup, opts, eq_tol=1e-9)
             worst_slack = max(worst_slack, abs(rep.slack))

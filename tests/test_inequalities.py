@@ -6,7 +6,8 @@ from lagdelta.cubic import (LagrangianPointData, gauss_curvature,
 from lagdelta.delta import (DeltaTuple, OptimizerOptions, enumerate_tuples,
                             oracle_delta_dim3)
 from lagdelta.exceptions import Inadmissible
-from lagdelta.inequalities import (InequalityVariant as V, admissible_variants,
+from lagdelta.inequalities import (InequalityVariant as V,
+                                   _equality_projection, admissible_variants,
                                    bound_report, coefficients,
                                    detect_equality_structure, evaluate,
                                    select_improved, soundness_audit,
@@ -15,6 +16,11 @@ from lagdelta.inequalities import (InequalityVariant as V, admissible_variants,
 from test_cubic import berger_form, graph_equality_form
 
 FAST = OptimizerOptions(restarts=8, seed=0)
+
+
+def detectable_variants(tup):
+    """Admissible variants with an equality structure (all but OPREA)."""
+    return [v for v in admissible_variants(tup) if v != V.OPREA]
 
 
 class TestCoefficients:
@@ -169,8 +175,7 @@ class TestSynthesisRoundTrips:
     def test_detect_round_trip(self, variant, parts, n):
         tup = DeltaTuple(n, parts)
         data = synthesize_equality_data(tup, variant, lam=1.0, seed=3)
-        rep = detect_equality_structure(data.h, tup, variant, tol=1e-12,
-                                        search=False)
+        rep = detect_equality_structure(data.h, tup, variant, tol=1e-12)
         assert rep.passed, f"deviation {rep.deviation}"
 
     def test_minimal_structures_have_exact_zero_h(self):
@@ -207,7 +212,7 @@ class TestSynthesisRoundTrips:
 
     def test_berger_matches_first_pattern(self):
         rep = detect_equality_structure(berger_form(), DeltaTuple(3, (2,)),
-                                        V.FIRST, tol=1e-10, search=False)
+                                        V.FIRST, tol=1e-10)
         assert rep.passed
         assert rep.lam == pytest.approx(2 / np.sqrt(3))
 
@@ -219,19 +224,18 @@ class TestSynthesisRoundTrips:
         G[0, 1] = -np.sin(t)
         G[1, 0] = np.sin(t)
         rotated = rotate_cubic(berger_form(), G)
-        rep = detect_equality_structure(rotated, tup, V.FIRST, tol=1e-9,
-                                        search=False)
+        rep = detect_equality_structure(rotated, tup, V.FIRST, tol=1e-9)
         assert rep.passed
         assert abs(rep.lam) == pytest.approx(2 / np.sqrt(3), abs=1e-9)
 
     def test_random_dense_form_fails(self):
-        from lagdelta.cubic import random_cubic_form
         rng = np.random.default_rng(2)
         form = random_cubic_form(5, rng)
-        rep = detect_equality_structure(form, DeltaTuple(5, (2,)), V.IMPROVED,
-                                        tol=1e-8, search=False)
-        assert not rep.passed
-        assert rep.deviation > 1e-3
+        for tup in enumerate_tuples(5):
+            for variant in detectable_variants(tup):
+                rep = detect_equality_structure(form, tup, variant, tol=1e-8)
+                assert not rep.passed, (tup, variant)
+                assert rep.deviation > 1e-3, (tup, variant)
 
     def test_detection_in_optimizer_argmin_frame(self):
         # the detector is meant to run in the frame the optimizer reports
@@ -243,8 +247,7 @@ class TestSynthesisRoundTrips:
         R = gauss_curvature(LagrangianPointData(3, 1.0, berger))
         _, cfg, _ = delta_invariant(R, tup3, FAST)
         rep = detect_equality_structure(berger, tup3, V.FIRST,
-                                        frame=cfg.frame, tol=1e-7,
-                                        search=False)
+                                        frame=cfg.frame, tol=1e-7)
         assert rep.passed, rep
 
         tup5 = DeltaTuple(5, (2,))
@@ -255,6 +258,60 @@ class TestSynthesisRoundTrips:
                                          frame=cfg5.frame, tol=1e-6)
         assert rep5.passed, rep5
         assert abs(abs(rep5.lam) - 1.0) < 1e-6
+
+
+class TestEqualitySpace:
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_projector_rank(self, n):
+        # Pi is an orthogonal projector whose rank is the dimension of the
+        # traceless block cubics, plus n - N for the mean parts
+        rng = np.random.default_rng(n)
+        forms = [random_cubic_form(n, rng)
+                 for _ in range((n + 2) * (n + 1) * n // 6 + 2)]
+        for tup in enumerate_tuples(n):
+            for variant in detectable_variants(tup):
+                proj = np.array([_equality_projection(h, tup, variant)[0]
+                                 for h in forms])
+                expected = sum(q * (q + 1) * (q + 2) // 6 - q
+                               for q in tup.parts)
+                if variant in (V.IMPROVED, V.K1):
+                    expected += n - tup.N
+                flat = proj.reshape(len(forms), -1)
+                assert np.linalg.matrix_rank(flat) == expected, (tup, variant)
+                again, _ = _equality_projection(proj[0], tup, variant)
+                np.testing.assert_allclose(again, proj[0], atol=1e-13)
+                assert abs(np.vdot(forms[1] - proj[1], proj[0])) < 1e-12
+
+    def test_search_keyword_is_ignored(self):
+        form = random_cubic_form(6, np.random.default_rng(4))
+        pattern = synthesize_equality_data(DeltaTuple(6, (2,)), V.IMPROVED,
+                                           lam=0.5, seed=1).h
+        for h, tup in [(form, DeltaTuple(6, (2, 3))),
+                       (pattern, DeltaTuple(6, (2,)))]:
+            for variant in detectable_variants(tup):
+                assert (detect_equality_structure(h, tup, variant,
+                                                  search=False)
+                        == detect_equality_structure(h, tup, variant))
+
+    @pytest.mark.parametrize("variant,parts,n", [
+        (V.FIRST, (3,), 4),
+        (V.FIRST, (2, 2), 5),
+        (V.OPREA, (2,), 3),
+        (V.HYPERPLANE_FLAT, (2,), 3),
+        (V.HYPERPLANE_CP, (2,), 3),
+        (V.IMPROVED, (2, 2), 4),  # N = n: no complement
+        (V.K1, (2, 2), 5),
+    ])
+    def test_inadmissible_variant_refused(self, variant, parts, n):
+        with pytest.raises(Inadmissible):
+            detect_equality_structure(np.zeros((n, n, n)),
+                                      DeltaTuple(n, parts), variant)
+
+    @pytest.mark.parametrize("shape", [(4, 4, 4), (5, 5), (5, 5, 5, 1)])
+    def test_wrong_shape_refused(self, shape):
+        with pytest.raises(Inadmissible):
+            detect_equality_structure(np.zeros(shape), DeltaTuple(5, (2,)),
+                                      V.OLD)
 
 
 class TestAudit:

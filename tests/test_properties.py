@@ -1,4 +1,5 @@
-"""Property tests: the JSON round trip and the CLI's exit-code contract.
+"""Property tests: the JSON round trip, the CLI's exit-code contract and
+the rotation invariance of equality detection.
 
 Derandomized, so every run checks the same examples."""
 
@@ -9,13 +10,19 @@ import math
 import os
 import tempfile
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lagdelta.cli import LIMITS, main
 from lagdelta.cubic import (LagrangianPointData, cubic_triples,
                             point_data_from_json, point_data_to_json,
-                            validate_cubic)
+                            random_cubic_form, rotate_cubic, validate_cubic)
+from lagdelta.delta import enumerate_tuples
+from lagdelta.inequalities import (InequalityVariant as V,
+                                   admissible_variants,
+                                   detect_equality_structure,
+                                   synthesize_equality_data)
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None,
                     max_examples=60)
@@ -127,3 +134,44 @@ def test_out_of_range_option_exits_2(case):
     assert err.getvalue().startswith(f"error: {flag} ")
     assert err.getvalue().count("\n") == 1
     assert out.getvalue() == ""
+
+
+@st.composite
+def block_rotation_case(draw):
+    """A tuple at n <= 7, a variant with an equality structure, a seed,
+    and an orthogonal Q acting within each block and within the
+    complement, of the drawn determinant sign."""
+    n = draw(st.integers(3, 7))
+    tup = draw(st.sampled_from(enumerate_tuples(n)))
+    variant = draw(st.sampled_from([v for v in admissible_variants(tup)
+                                    if v != V.OPREA]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    Q = np.zeros((n, n))
+    for group in tup.blocks() + (tuple(range(tup.N, n)),):
+        if group:
+            Q[np.ix_(group, group)] = np.linalg.qr(
+                rng.standard_normal((len(group), len(group))))[0]
+    if (np.linalg.det(Q) < 0) != draw(st.booleans()):
+        Q[:, 0] *= -1
+    return tup, variant, seed, Q
+
+
+@PROPERTY
+@given(block_rotation_case(), st.floats(-2.0, 2.0))
+def test_rotated_equality_pattern_passes(case, lam):
+    tup, variant, seed, Q = case
+    data = synthesize_equality_data(tup, variant, lam=lam, seed=seed)
+    rep = detect_equality_structure(rotate_cubic(data.h, Q), tup, variant,
+                                    tol=1e-12)
+    assert rep.passed, rep.deviation
+
+
+@PROPERTY
+@given(block_rotation_case())
+def test_deviation_is_rotation_invariant(case):
+    tup, variant, seed, Q = case
+    h = random_cubic_form(tup.n, np.random.default_rng(seed))
+    dev = detect_equality_structure(h, tup, variant).deviation
+    rotated = detect_equality_structure(h, tup, variant, frame=Q).deviation
+    assert abs(rotated - dev) <= 1e-12 * (1.0 + dev)
