@@ -43,6 +43,15 @@ __all__ = [
     "intrinsic_curvature_fd",
 ]
 
+# The exotic chart's half-width, the intrinsic curvature's difference step,
+# and the largest raw cubic symmetry deviation (flat, sphere charts) and
+# horizontality residual that data extraction accepts.
+_EXOTIC_EXTENT = 0.35
+_CURVATURE_FD_STEP = 5e-3
+_FLAT_SYMMETRY_TOL = 1e-5
+_SPHERE_SYMMETRY_TOL = 1e-4
+_HORIZONTALITY_TOL = 1e-6
+
 
 @dataclass
 class ImmersionChart:
@@ -148,8 +157,7 @@ def _extract(chart: ImmersionChart, x: np.ndarray, c: float,
                                 source=chart.name), symmetry_deviation(raw))
 
 
-def induced_data_flat(chart: ImmersionChart, x: np.ndarray,
-                      symmetry_tol: float = 1e-5) -> ExtractedData:
+def induced_data_flat(chart: ImmersionChart, x: np.ndarray) -> ExtractedData:
     """Pointwise data of a flat-ambient chart (c = 0).
 
     The totally symmetric cubic coefficients come from pairing ambient
@@ -161,16 +169,15 @@ def induced_data_flat(chart: ImmersionChart, x: np.ndarray,
     chart.check_domain(x, margin=2 * chart.step)
     dL = chart.jac(x)
     data, dev = _extract(chart, x, 0.0, dL)
-    if dev > symmetry_tol:
+    if dev > _FLAT_SYMMETRY_TOL:
         raise ValueError(f"cubic symmetry deviation {dev:.3e} exceeds "
-                         f"{symmetry_tol:.1e}; the chart point is not "
+                         f"{_FLAT_SYMMETRY_TOL:.1e}; the chart point is not "
                          f"consistent Lagrangian data")
     return ExtractedData(data, dev)
 
 
-def induced_data_horizontal(chart: ImmersionChart, x: np.ndarray,
-                            horizontality_tol: float = 1e-6,
-                            symmetry_tol: float = 1e-4) -> ExtractedData:
+def induced_data_horizontal(chart: ImmersionChart,
+                            x: np.ndarray) -> ExtractedData:
     """Pointwise data of the Hopf projection of a horizontal sphere chart.
 
     Horizontality is checked, not assumed; the projected metric is the
@@ -181,13 +188,13 @@ def induced_data_horizontal(chart: ImmersionChart, x: np.ndarray,
         raise ValueError("induced_data_horizontal expects a sphere chart")
     chart.check_domain(x, margin=2 * chart.step)
     resid = horizontality_residual(chart, x)
-    if resid > horizontality_tol:
+    if resid > _HORIZONTALITY_TOL:
         raise HorizontalityError(resid)
     dL = chart.jac(x)
     data, dev = _extract(chart, x, 1.0, dL)
-    if dev > symmetry_tol:
+    if dev > _SPHERE_SYMMETRY_TOL:
         raise ValueError(f"cubic symmetry deviation {dev:.3e} exceeds "
-                         f"{symmetry_tol:.1e}")
+                         f"{_SPHERE_SYMMETRY_TOL:.1e}")
     return ExtractedData(data, dev, resid)
 
 
@@ -200,8 +207,9 @@ def graph_immersion(F, grad=None, n=None, domain=None, step=1e-4,
     """Lagrangian gradient graph x -> x + i grad F(x).
 
     The pullback of the Kahler form vanishes identically for gradient
-    graphs.  With an analytic ``grad`` the chart also carries an analytic
-    Jacobian-free evaluator path: second derivatives difference grad once.
+    graphs.  The chart has no analytic Jacobian: with an analytic ``grad``
+    the evaluator is exact and second derivatives take two central
+    differences of it; without, grad F is itself differenced first.
     """
     if n is None:
         raise ValueError("pass the chart dimension n")
@@ -260,7 +268,7 @@ def equality_graph_function(tup, lam: float = 1.0):
 # Legendrian tori and the hyperplane-tuple equality families
 # ---------------------------------------------------------------------------
 
-def clifford_legendrian(m: int, check: bool = True) -> ImmersionChart:
+def clifford_legendrian(m: int) -> ImmersionChart:
     """Flat Legendrian torus u -> exp(i A u) / sqrt(m) in the unit sphere
     of C^m, with integer phase columns A[:, j] = e_j - e_{j+1}.
 
@@ -284,16 +292,15 @@ def clifford_legendrian(m: int, check: bool = True) -> ImmersionChart:
     domain = np.array([[-8.0, 8.0]] * (m - 1))
     chart = ImmersionChart(m - 1, "sphere", evaluator, domain, step=1e-4,
                            jacobian=jac, name=f"clifford-legendrian-{m}")
-    if check:
-        rng = np.random.default_rng(0)
-        pts = rng.uniform(-1.0, 1.0, size=(5, m - 1))
-        horiz = max(horizontality_residual(chart, p) for p in pts)
-        if horiz > 1e-10:
-            raise HorizontalityError(horiz)
-        minim = legendrian_minimality_residual(chart, pts)
-        if minim > 1e-6:
-            raise ValueError(f"legendrian torus failed the minimality check: "
-                             f"residual {minim:.3e}")
+    rng = np.random.default_rng(0)
+    pts = rng.uniform(-1.0, 1.0, size=(5, m - 1))
+    horiz = max(horizontality_residual(chart, p) for p in pts)
+    if horiz > 1e-10:
+        raise HorizontalityError(horiz)
+    minim = legendrian_minimality_residual(chart, pts)
+    if minim > 1e-6:
+        raise ValueError(f"legendrian torus failed the minimality check: "
+                         f"residual {minim:.3e}")
     return chart
 
 
@@ -493,7 +500,7 @@ def cp_equality_chart(n: int, traj: Trajectory,
 # the minimal Berger-sphere immersion, horizontally realized
 # ---------------------------------------------------------------------------
 
-def exotic_s3_horizontal_chart(extent: float = 0.35) -> ImmersionChart:
+def exotic_s3_horizontal_chart() -> ImmersionChart:
     """Horizontal realization in the unit sphere of C^4 of the minimal
     Berger-sphere immersion.
 
@@ -517,7 +524,7 @@ def exotic_s3_horizontal_chart(extent: float = 0.35) -> ImmersionChart:
         return np.array([p[0] + 1j * p[3], q[0] - 1j * q[3],
                          p[1] - 1j * p[2], q[1] + 1j * q[2]])
 
-    domain = np.array([[-extent, extent]] * 3)
+    domain = np.array([[-_EXOTIC_EXTENT, _EXOTIC_EXTENT]] * 3)
     return ImmersionChart(3, "sphere", evaluator, domain, step=1e-4,
                           name="exotic-s3-horizontal")
 
@@ -526,15 +533,15 @@ def exotic_s3_horizontal_chart(extent: float = 0.35) -> ImmersionChart:
 # intrinsic curvature of a chart by finite differences
 # ---------------------------------------------------------------------------
 
-def intrinsic_curvature_fd(chart: ImmersionChart, x: np.ndarray,
-                           h: float = 5e-3) -> CurvatureTensor:
+def intrinsic_curvature_fd(chart: ImmersionChart,
+                           x: np.ndarray) -> CurvatureTensor:
     """Curvature of the induced metric by finite differences.
 
     Independent of the Gauss-equation reconstruction: metric from the
     chart Jacobian, Christoffel symbols and their derivatives by central
-    differences at step ``h``, then components in the Gram-Schmidt frame.
-    Steps h and h/2 are combined (Richardson) to cancel the leading O(h^2)
-    truncation term.
+    differences at step ``h = _CURVATURE_FD_STEP``, then components in the
+    Gram-Schmidt frame.  Steps h and h/2 are combined (Richardson) to
+    cancel the leading O(h^2) truncation term.
     """
     x = np.asarray(x, dtype=float)
     n = chart.n
@@ -564,5 +571,6 @@ def intrinsic_curvature_fd(chart: ImmersionChart, x: np.ndarray,
         return np.einsum("ijkl,iA,jB,kC,lD->ABCD", lowered, frame, frame,
                          frame, frame, optimize=True)
 
+    h = _CURVATURE_FD_STEP
     comp = (4.0 * components_at(h / 2) - components_at(h)) / 3.0
     return CurvatureTensor(n, comp, tol=1e-3)

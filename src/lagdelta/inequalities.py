@@ -269,15 +269,13 @@ def synthesize_equality_data(tup: DeltaTuple, variant: InequalityVariant,
     h = np.zeros((n, n, n))
 
     if variant in _BLOCK_VARIANTS:
-        mean = variant in _MEAN_VARIANTS
-        # admissibility check
-        coefficients(InequalityVariant.IMPROVED if mean else variant, tup)
+        coefficients(variant, tup)  # refuse an inadmissible pairing
         for block in tup.blocks():
             q = len(block)
             S = _random_traceless_symmetric(q, rng, block_scale)
             lo = block[0]
             h[lo:lo + q, lo:lo + q, lo:lo + q] = S
-        if mean:
+        if variant in _MEAN_VARIANTS:
             _improved_mean_part(h, tup, lam, tup.N)
     elif variant == InequalityVariant.FIRST:
         if tup.parts != (2,):

@@ -335,3 +335,16 @@ class TestAudit:
 
     def test_usage_error_exit_code(self):
         assert main(["audit", "--count", "5"]) == 2  # missing --n
+
+
+def test_cli_import_loads_no_scipy():
+    # a fresh process, so no other test's imports count
+    src = os.path.dirname(os.path.dirname(lagdelta.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import lagdelta.cli, sys; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -12,7 +12,7 @@ from lagdelta.delta import (DeltaTuple, OptimizerOptions, SubspaceConfig,
                             oracle_delta_dim3, oracle_delta_grid)
 from lagdelta.delta import (MAX_GRID_RESOLUTION, _GRID_AXES, _PairSet,
                             _assignment_minima, _assignment_table,
-                            _frame_from_angles, _random_orthogonal,
+                            _givens, _random_orthogonal,
                             _second_compound, _within_block_pairs)
 from lagdelta.exceptions import Inadmissible
 from lagdelta.frames import (constant_curvature, pair_basis,
@@ -203,6 +203,15 @@ class TestOracleGrid:
             for resolution in (3, 8):
                 assert (oracle_delta_grid(R, tup, resolution)
                         >= oracle_delta_grid(R, tup, resolution, polish=False))
+
+    @pytest.mark.parametrize("n,parts", sorted(_GRID_AXES))
+    def test_polished_grid_matches_optimizer(self, n, parts):
+        rng = np.random.default_rng([n, 12, *parts])
+        tup = DeltaTuple(n, parts)
+        for _ in range(3):
+            R = random_tensor(n, rng)
+            opt_val, _, _ = delta_invariant(R, tup, FAST)
+            assert abs(oracle_delta_grid(R, tup, 24) - opt_val) <= 1e-9
 
     def test_large_n_rejected(self):
         with pytest.raises(Inadmissible):
@@ -402,6 +411,13 @@ class TestPairSetContractions:
         exact = np.einsum("bij,bij->b", A, X)
         scale = 1.0 + np.abs(f) + np.abs(exact)
         assert np.all(np.abs(fd - exact) <= 1e-6 * scale)
+
+
+def _frame_from_angles(n, axes, angles):
+    Q = np.eye(n)
+    for (i, j), t in zip(axes, angles):
+        Q = Q @ _givens(n, i, j, t)
+    return Q
 
 
 class TestGridFrameProducts:

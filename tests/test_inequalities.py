@@ -178,6 +178,11 @@ class TestSynthesisRoundTrips:
         rep = detect_equality_structure(data.h, tup, variant, tol=1e-12)
         assert rep.passed, f"deviation {rep.deviation}"
 
+    def test_k1_synthesis_refuses_multi_part_tuple(self):
+        # K1 is stated for single parts, so detection would refuse the data
+        with pytest.raises(Inadmissible, match="single-part"):
+            synthesize_equality_data(DeltaTuple(9, (4, 4)), V.K1)
+
     def test_minimal_structures_have_exact_zero_h(self):
         for variant, parts, n in [(V.OLD, (2, 2), 5), (V.HIGH_A, (2, 3), 6)]:
             data = synthesize_equality_data(DeltaTuple(n, parts), variant,
