@@ -1,10 +1,11 @@
 """Tour 3: a gradient graph attaining the improved bound at a point.
 
 Every Lagrangian submanifold of flat complex space is locally a gradient
-graph x -> x + i grad F(x).  For the cubic potential built by
-``equality_graph_function`` the data at the origin realizes the improved
-bound's equality structure with nonzero mean curvature: the bound is
-attained by non-minimal data, so its coefficient cannot be lowered.
+graph x -> x + i grad F(x).  For the cubic potential whose gradient
+``equality_graph_function`` returns, the data at the origin realizes the
+improved bound's equality structure with nonzero mean curvature: the
+bound is attained by non-minimal data, so its coefficient cannot be
+lowered.
 """
 
 import numpy as np
@@ -16,8 +17,8 @@ from lagdelta import (DeltaTuple, InequalityVariant as V, OptimizerOptions,
                       mean_curvature)
 
 tup = DeltaTuple(5, (2,))
-F, grad = equality_graph_function(tup, lam=1.0)
-chart = graph_immersion(F, grad=grad, n=5, name="equality-graph")
+chart = graph_immersion(equality_graph_function(tup, lam=1.0), 5,
+                        name="equality-graph")
 
 # the pullback of the Kahler form vanishes identically for gradient graphs
 x = np.array([0.2, -0.1, 0.05, 0.3, -0.25])

@@ -13,7 +13,7 @@ from .cubic import (LagrangianPointData, gauss_curvature, mean_curvature,
                     validate_cubic)
 from .delta import (DeltaDiagnostics, DeltaTuple, OptimizerOptions,
                     SubspaceConfig, config_objective, delta_invariant,
-                    delta_invariant_batch, delta_value, enumerate_tuples,
+                    delta_invariant_batch, enumerate_tuples,
                     oracle_delta_dim3, oracle_delta_grid)
 from .inequalities import (InequalityReport, InequalityVariant,
                            StructureReport, admissible_variants,
@@ -44,8 +44,7 @@ __all__ = [
     # delta invariants
     "DeltaDiagnostics", "DeltaTuple", "OptimizerOptions", "SubspaceConfig",
     "config_objective", "delta_invariant", "delta_invariant_batch",
-    "delta_value", "enumerate_tuples", "oracle_delta_dim3",
-    "oracle_delta_grid",
+    "enumerate_tuples", "oracle_delta_dim3", "oracle_delta_grid",
     # inequalities
     "InequalityReport", "InequalityVariant", "StructureReport",
     "admissible_variants", "bound_report", "coefficients",

@@ -2,10 +2,12 @@
 
 ``delta(n_1, ..., n_k) = tau - inf { tau(L_1) + ... + tau(L_k) }`` over
 mutually orthogonal subspaces of the prescribed dimensions.  The infimum is
-attained (the configuration space is compact); the optimizer reports an
-achieving configuration together with convergence diagnostics, and two
-independent oracles (exact in dimension 3, a rotation-angle grid for
-n <= 4, refined on local grids) back it up in tests.
+attained (the configuration space is compact).  ``delta_invariant_batch``
+alone decides how it is computed: the hyperplane tuple (n-1) in closed
+form, every other tuple by the optimizer, which reports an achieving
+configuration together with convergence diagnostics.  Two independent
+oracles (exact in dimension 3, a rotation-angle grid for n <= 4, refined on
+local grids) back both up in tests.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ __all__ = [
     "config_objective",
     "delta_invariant",
     "delta_invariant_batch",
-    "delta_value",
     "oracle_delta_dim3",
     "oracle_delta_grid",
 ]
@@ -402,15 +403,20 @@ def _random_orthogonal(rng: np.random.Generator, shape_prefix, n: int):
     return Q * sgn[..., None, :]
 
 
+def _ricci_eigh(components: np.ndarray):
+    """Ascending eigenvalues (S, n) and eigenvectors (S, n, n) of the Ricci
+    tensors Ric(a, d) = sum_b R[b, a, d, b] of a stack (S, n, n, n, n)."""
+    ricci = np.einsum("sbadb->sad", components)
+    ricci = 0.5 * (ricci + np.swapaxes(ricci, -1, -2))
+    return np.linalg.eigh(ricci)
+
+
 def _initial_frames(components: np.ndarray, restarts: int, seed: int):
     S, n = components.shape[0], components.shape[-1]
     Q = np.empty((S, restarts, n, n))
     Q[:, 0] = np.eye(n)
     if restarts >= 2:
-        ricci = np.einsum("sbadb->sad", components)
-        ricci = 0.5 * (ricci + np.swapaxes(ricci, -1, -2))
-        _, vecs = np.linalg.eigh(ricci)
-        Q[:, 1] = vecs
+        Q[:, 1] = _ricci_eigh(components)[1]
     for r in range(2, restarts):
         rng = np.random.default_rng([seed, r])
         Q[:, r] = _random_orthogonal(rng, (S,), n)
@@ -419,23 +425,12 @@ def _initial_frames(components: np.ndarray, restarts: int, seed: int):
 
 def _minimize_batch(components: np.ndarray, tup: DeltaTuple,
                     opts: OptimizerOptions):
-    """Best found inf of the configuration objective for a batch of tensors.
+    """Best found inf of the configuration objective for a batch of
+    tensors (S, n, n, n, n), checked by ``delta_invariant_batch``.
 
     Returns (inf values (S,), frames (S, n, n), per-sample diagnostics).
     """
-    shape = components.shape
-    if len(shape) != 5 or len(set(shape[1:])) != 1:
-        raise ValueError(f"expected curvature components of shape "
-                         f"(S, n, n, n, n), got {shape}")
-    S, n = shape[0], shape[-1]
-    if n != tup.n:
-        raise Inadmissible(f"tuple dimension {tup.n} does not match "
-                           f"tensor dimension {n}")
-    if n > MAX_N:
-        raise ValueError(f"dimension {n} exceeds the maximum {MAX_N}")
-    if not (np.abs(components) <= MAX_COMPONENT).all():
-        raise ValueError(f"curvature components must be finite and at "
-                         f"most {MAX_COMPONENT:g} in magnitude")
+    S, n = components.shape[0], components.shape[-1]
     M = pair_curvature_operator(components)
     ps = _PairSet(n, _within_block_pairs(tup.parts))
     restarts = opts.restarts
@@ -491,34 +486,54 @@ def _minimize_batch(components: np.ndarray, tup: DeltaTuple,
     return best_f, best_Q, diags
 
 
-def delta_invariant(R: CurvatureTensor, tup: DeltaTuple,
-                    opts: OptimizerOptions | None = None):
-    """delta(n_1, ..., n_k) with an achieving configuration.
-
-    Returns (value, config, diagnostics).  The value is ``tau(R)`` minus the
-    best found configuration objective; when the optimizer fails to
-    converge the diagnostics carry an explicit ``unconverged`` flag rather
-    than failing silently.
-    """
-    opts = opts or OptimizerOptions()
-    inf_vals, frames, diags = _minimize_batch(
-        R.components[None], tup, opts)
-    config = SubspaceConfig(frames[0], tup.blocks())
-    value = scalar_tau(R) - float(inf_vals[0])
-    return value, config, diags[0]
-
-
 def delta_invariant_batch(components: np.ndarray, tup: DeltaTuple,
                           opts: OptimizerOptions | None = None):
-    """Vectorized delta over a stack of curvature components (S, n, n, n, n).
+    """delta over a stack of curvature components (S, n, n, n, n).
+
+    Returns (values (S,), frames (S, n, n), per-sample diagnostics); each
+    frame's columns, blocks first, achieve its value.  The hyperplane tuple
+    (n-1) is exact: tau(nu^perp) = tau - Ric(nu, nu) for a unit normal nu,
+    so delta(n-1) = lambda_max(Ric), achieved by the ascending Ricci
+    eigenbasis; its diagnostics report ``restarts == 0``.  Every other tuple
+    is ``tau`` minus the optimizer's best found infimum.
 
     Rejects another shape, n > ``cubic.MAX_N``, components that are not
     finite or exceed ``frames.MAX_COMPONENT`` (ValueError) and a tuple of
     another dimension (Inadmissible)."""
-    opts = opts or OptimizerOptions()
-    inf_vals, frames, diags = _minimize_batch(components, tup, opts)
+    shape = components.shape
+    if len(shape) != 5 or len(set(shape[1:])) != 1:
+        raise ValueError(f"expected curvature components of shape "
+                         f"(S, n, n, n, n), got {shape}")
+    S, n = shape[0], shape[-1]
+    if n != tup.n:
+        raise Inadmissible(f"tuple dimension {tup.n} does not match "
+                           f"tensor dimension {n}")
+    if n > MAX_N:
+        raise ValueError(f"dimension {n} exceeds the maximum {MAX_N}")
+    if not (np.abs(components) <= MAX_COMPONENT).all():
+        raise ValueError(f"curvature components must be finite and at "
+                         f"most {MAX_COMPONENT:g} in magnitude")
+    if tup.parts == (n - 1,):
+        vals, frames = _ricci_eigh(components)
+        return vals[:, -1], frames, [
+            DeltaDiagnostics(restarts=0, iterations=0, converged=True,
+                             restarts_converged=0, best_gap=0.0,
+                             assignment_rounds=0) for _ in range(S)]
+    inf_vals, frames, diags = _minimize_batch(
+        components, tup, opts or OptimizerOptions())
     taus = 0.5 * np.einsum("sabba->s", components)
     return taus - inf_vals, frames, diags
+
+
+def delta_invariant(R: CurvatureTensor, tup: DeltaTuple,
+                    opts: OptimizerOptions | None = None):
+    """delta(n_1, ..., n_k) of one tensor: ``delta_invariant_batch`` on a
+    stack of one.  Returns (value, achieving config, diagnostics); an
+    optimizer that fails to converge is flagged ``unconverged`` in the
+    diagnostics rather than failing silently."""
+    values, frames, diags = delta_invariant_batch(R.components[None], tup,
+                                                  opts)
+    return float(values[0]), SubspaceConfig(frames[0], tup.blocks()), diags[0]
 
 
 def oracle_delta_dim3(R: CurvatureTensor) -> float:
@@ -532,18 +547,6 @@ def oracle_delta_dim3(R: CurvatureTensor) -> float:
     M = pair_curvature_operator(R.components)
     lam_min = float(np.linalg.eigvalsh(M)[0])
     return scalar_tau(R) - lam_min
-
-
-def delta_value(R: CurvatureTensor, tup: DeltaTuple,
-                opts: OptimizerOptions | None = None):
-    """delta(n_1, ..., n_k): exact by the eigenvalue oracle in dimension 3,
-    whose only tuple is (2), and by the optimizer otherwise.  Returns
-    (value, diagnostics); diagnostics is None on the exact path.  A tuple
-    of another dimension goes to delta_invariant, which rejects it."""
-    if R.n == 3 == tup.n:
-        return oracle_delta_dim3(R), None
-    value, _, diagnostics = delta_invariant(R, tup, opts)
-    return value, diagnostics
 
 
 # Largest accepted grid resolution.  The n = 4 grid has resolution**4

@@ -5,10 +5,10 @@ class NotPositiveDefinite(ValueError):
     """Gram matrix failed a positivity check; `minor` is the 1-based order
     of the first offending leading principal minor."""
 
-    def __init__(self, minor: int, message: str | None = None):
+    def __init__(self, minor: int):
         self.minor = minor
-        super().__init__(message or f"matrix is not positive definite "
-                                    f"(leading minor of order {minor})")
+        super().__init__(f"matrix is not positive definite "
+                         f"(leading minor of order {minor})")
 
 
 class DegeneratePlane(ValueError):
@@ -18,10 +18,10 @@ class DegeneratePlane(ValueError):
 class SymmetryViolation(ValueError):
     """Conflicting values for permutations of one index triple."""
 
-    def __init__(self, triple, message: str | None = None):
+    def __init__(self, triple):
         self.triple = tuple(triple)
-        super().__init__(message or f"conflicting values for permutations "
-                                    f"of triple {self.triple}")
+        super().__init__(f"conflicting values for permutations "
+                         f"of triple {self.triple}")
 
 
 class Inadmissible(ValueError):
@@ -37,7 +37,7 @@ class HorizontalityError(ValueError):
     """An immersion point failed the horizontality precondition; `residual`
     carries the offending magnitude."""
 
-    def __init__(self, residual: float, message: str | None = None):
+    def __init__(self, residual: float):
         self.residual = float(residual)
-        super().__init__(message or f"horizontality residual {residual:.3e} "
-                                    f"exceeds tolerance")
+        super().__init__(f"horizontality residual {residual:.3e} "
+                         f"exceeds tolerance")

@@ -67,8 +67,8 @@ def _mesh_rows(chart, samples, seed):
 
 def _graph_chart(domain=None):
     """The gradient graph whose data at 0 attains the improved bound."""
-    F, grad = equality_graph_function(DeltaTuple(5, (2,)), 1.0)
-    return graph_immersion(F, grad=grad, n=5, domain=domain, name="graph-8.2")
+    return graph_immersion(equality_graph_function(DeltaTuple(5, (2,)), 1.0),
+                           5, domain=domain, name="graph-8.2")
 
 
 def _flat_chart():

@@ -55,11 +55,11 @@ _HORIZONTALITY_TOL = 1e-6
 
 @dataclass
 class ImmersionChart:
-    """A parametric immersion with a differentiation policy.
+    """A parametric immersion, differentiated by central differences.
 
     ``evaluator`` maps a chart point (n reals) to a complex ambient vector;
-    ``jacobian``, when supplied, is analytic and is preferred for second
-    derivatives.  ``step`` is the central-difference step per axis.
+    ``step`` is the central-difference step per axis of its second
+    derivatives (first derivatives use at most 1e-5).
     """
 
     n: int
@@ -67,7 +67,6 @@ class ImmersionChart:
     evaluator: Callable[[np.ndarray], np.ndarray]
     domain: np.ndarray
     step: float = 1e-4
-    jacobian: Callable[[np.ndarray], np.ndarray] | None = None
     name: str = ""
 
     def __post_init__(self):
@@ -101,9 +100,6 @@ class ImmersionChart:
         return value
 
     def jac(self, x: np.ndarray) -> np.ndarray:
-        if self.jacobian is not None:
-            return np.asarray(self.jacobian(np.asarray(x, dtype=float)),
-                              dtype=complex)
         return fd_jacobian(self.evaluator, x, h=min(self.step, 1e-5))
 
 
@@ -140,10 +136,7 @@ def _raw_cubic(chart: ImmersionChart, x: np.ndarray,
         raise ValueError(f"induced metric is degenerate: min eigenvalue "
                          f"{eigs[0]:.3e}")
     frame = gram_schmidt(metric)
-    if chart.jacobian is not None:
-        d2 = second_derivatives(None, x, h=chart.step, jac=chart.jacobian)
-    else:
-        d2 = second_derivatives(chart.evaluator, x, h=chart.step)
+    d2 = second_derivatives(chart.evaluator, x, h=chart.step)
     tangents = dL @ frame  # columns: orthonormal frame in ambient coords
     d2f = np.einsum("kbc,bB,cC->kBC", d2, frame, frame)
     return np.einsum("kBC,kA->ABC", d2f, tangents.conj()).imag
@@ -202,50 +195,35 @@ def induced_data_horizontal(chart: ImmersionChart,
 # gradient graphs in C^n
 # ---------------------------------------------------------------------------
 
-def graph_immersion(F, grad=None, n=None, domain=None, step=1e-4,
-                    name="graph") -> ImmersionChart:
-    """Lagrangian gradient graph x -> x + i grad F(x).
+def graph_immersion(grad, n, domain=None, name="graph") -> ImmersionChart:
+    """Lagrangian gradient graph x -> x + i grad F(x), for the gradient
+    ``grad`` of a potential F on n coordinates.
 
     The pullback of the Kahler form vanishes identically for gradient
-    graphs.  The chart has no analytic Jacobian: with an analytic ``grad``
-    the evaluator is exact and second derivatives take two central
-    differences of it; without, grad F is itself differenced first.
+    graphs.  The evaluator is exact; derivatives are central differences
+    of it.  The domain defaults to the cube [-1, 1]^n.
     """
-    if n is None:
-        raise ValueError("pass the chart dimension n")
     if domain is None:
         domain = np.array([[-1.0, 1.0]] * n)
 
-    if grad is not None:
-        def evaluator(x):
-            return x + 1j * np.asarray(grad(x), dtype=float)
-    else:
-        def evaluator(x):
-            g = fd_jacobian(lambda y: np.array([F(y)]), x, h=1e-6)[0]
-            return x + 1j * g
+    def evaluator(x):
+        return x + 1j * np.asarray(grad(x), dtype=float)
 
-    return ImmersionChart(n, "flat", evaluator, domain,
-                          step=step if grad is not None else 1e-3, name=name)
+    return ImmersionChart(n, "flat", evaluator, domain, name=name)
 
 
 def equality_graph_function(tup, lam: float = 1.0):
-    """The potential whose gradient graph attains the improved bound at 0.
+    """The gradient of the potential whose gradient graph attains the
+    improved bound at 0,
 
     F = sum_i 3 lam / (2 (2 + n_i)) * sum_{a in block i} x_a^2 x_m
-        + (lam / 2) * x_m * sum_{r >= m} x_r^2,   m = N (0-based).
-    Returns (F, grad F), both analytic.
+        + (lam / 2) * x_m * sum_{r >= m} x_r^2,   m = N (0-based),
+
+    as an analytic function of x.
     """
     n, N = tup.n, tup.N
     blocks = tup.blocks()
     m = N
-
-    def F(x):
-        total = 0.0
-        for block in blocks:
-            q = len(block)
-            total += 3 * lam / (2 * (2 + q)) * sum(x[a] ** 2 for a in block) * x[m]
-        total += 0.5 * lam * x[m] * sum(x[r] ** 2 for r in range(m, n))
-        return total
 
     def grad(x):
         g = np.zeros(n)
@@ -261,7 +239,7 @@ def equality_graph_function(tup, lam: float = 1.0):
             g[r] = lam * x[m] * x[r]
         return g
 
-    return F, grad
+    return grad
 
 
 # ---------------------------------------------------------------------------
@@ -286,12 +264,9 @@ def clifford_legendrian(m: int) -> ImmersionChart:
     def evaluator(u):
         return np.exp(1j * (A @ u)) / np.sqrt(m)
 
-    def jac(u):
-        return (1j * A) * evaluator(u)[:, None]
-
     domain = np.array([[-8.0, 8.0]] * (m - 1))
     chart = ImmersionChart(m - 1, "sphere", evaluator, domain, step=1e-4,
-                           jacobian=jac, name=f"clifford-legendrian-{m}")
+                           name=f"clifford-legendrian-{m}")
     rng = np.random.default_rng(0)
     pts = rng.uniform(-1.0, 1.0, size=(5, m - 1))
     horiz = max(horizontality_residual(chart, p) for p in pts)

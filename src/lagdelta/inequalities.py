@@ -17,8 +17,8 @@ import numpy as np
 from .cubic import (LagrangianPointData, cubic_triples, gauss_components,
                     gauss_curvature, mean_curvature, rotate_cubic,
                     scatter_cubic)
-from .delta import (DeltaTuple, OptimizerOptions, delta_invariant_batch,
-                    delta_value, enumerate_tuples)
+from .delta import (DeltaTuple, OptimizerOptions, delta_invariant,
+                    delta_invariant_batch, enumerate_tuples)
 from .exceptions import Inadmissible
 
 __all__ = [
@@ -174,18 +174,33 @@ class InequalityReport:
         return d
 
 
+def _check_bound(data: LagrangianPointData, variant: InequalityVariant,
+                 tup: DeltaTuple) -> tuple[float, float]:
+    """The bound's coefficients (a, b), or Inadmissible where it does not
+    apply to the data."""
+    if tup.n != data.n:
+        raise Inadmissible(f"tuple dimension {tup.n} does not match data "
+                           f"dimension {data.n}")
+    if variant == InequalityVariant.HYPERPLANE_FLAT and data.c != 0.0:
+        raise Inadmissible("the flat hyperplane bound is stated for c = 0")
+    if variant == InequalityVariant.HYPERPLANE_CP and data.c != 1.0:
+        raise Inadmissible("the projective hyperplane bound is stated for c = 1")
+    return coefficients(variant, tup)
+
+
 def evaluate(data: LagrangianPointData, variant: InequalityVariant,
              tup: DeltaTuple, opts: OptimizerOptions | None = None,
              eq_tol: float = EQ_TOL) -> InequalityReport:
     """Evaluate one bound on one data point.
 
-    delta comes from :func:`~lagdelta.delta.delta_value`: the exact
-    eigenvalue oracle in dimension 3, the optimizer otherwise.  An
+    The bound is checked first, so an inadmissible one costs no delta;
+    delta comes from :func:`~lagdelta.delta.delta_invariant`.  An
     unconverged optimizer propagates as a flagged report, never a silent
     failure.
     """
-    return _report(data, variant, tup, eq_tol,
-                   lambda: delta_value(gauss_curvature(data), tup, opts))
+    _check_bound(data, variant, tup)
+    delta, _, diagnostics = delta_invariant(gauss_curvature(data), tup, opts)
+    return bound_report(data, variant, tup, delta, eq_tol, diagnostics)
 
 
 def bound_report(data: LagrangianPointData, variant: InequalityVariant,
@@ -193,21 +208,12 @@ def bound_report(data: LagrangianPointData, variant: InequalityVariant,
                  diagnostics=None) -> InequalityReport:
     """Compare a given delta value with one bound ``a * H^2 + b * c``.
 
-    ``diagnostics`` (the optimizer's, if it produced ``delta``) is carried
-    into the report unchanged.
+    ``diagnostics`` (the delta layer's, if it produced ``delta``) is
+    carried into the report unchanged.  A bound that does not apply, a
+    tuple of another dimension than the data's included, raises
+    Inadmissible.
     """
-    return _report(data, variant, tup, eq_tol, lambda: (delta, diagnostics))
-
-
-def _report(data, variant, tup, eq_tol, delta_of) -> InequalityReport:
-    """Check the bound applies, then call ``delta_of()`` for
-    (delta, diagnostics), so an inadmissible bound costs no delta."""
-    if variant == InequalityVariant.HYPERPLANE_FLAT and data.c != 0.0:
-        raise Inadmissible("the flat hyperplane bound is stated for c = 0")
-    if variant == InequalityVariant.HYPERPLANE_CP and data.c != 1.0:
-        raise Inadmissible("the projective hyperplane bound is stated for c = 1")
-    a, b = coefficients(variant, tup)
-    delta, diagnostics = delta_of()
+    a, b = _check_bound(data, variant, tup)
     h2 = float(mean_curvature(data.h)[1])
     rhs = a * h2 + b * data.c
     slack = rhs - delta

@@ -1,9 +1,8 @@
 """Central finite differences for chart evaluators.
 
 Maps are vector valued (real or complex); the step is one scalar for
-every axis.  Second derivatives difference an analytic Jacobian once when
-the chart has one (only the Clifford torus does); every other chart gets
-two central differences of its evaluator.
+every axis.  Every chart is differenced through its evaluator alone:
+first derivatives by one central difference, second derivatives by two.
 """
 
 from __future__ import annotations
@@ -21,23 +20,12 @@ def jacobian(f, x, h=1e-5) -> np.ndarray:
     return np.stack(cols, axis=-1)
 
 
-def second_derivatives(f, x, h=1e-4, jac=None) -> np.ndarray:
-    """All second partials of a vector map: result[..., i, j] = d_i d_j f.
-
-    With ``jac`` supplied the mixed partials come from differencing the
-    Jacobian (one differencing level instead of two); the output is
-    symmetrized either way.
-    """
+def second_derivatives(f, x, h=1e-4) -> np.ndarray:
+    """All second partials of a vector map: result[..., i, j] = d_i d_j f,
+    exactly symmetric in i and j."""
     x = np.asarray(x, dtype=float)
     n = x.size
     steps = h * np.eye(n)
-
-    if jac is not None:
-        slabs = [(np.asarray(jac(x + e)) - np.asarray(jac(x - e))) / (2 * h)
-                 for e in steps]
-        d2 = np.stack(slabs, axis=-1)  # [..., i, a] = d_a (d_i f)
-        return 0.5 * (d2 + np.swapaxes(d2, -1, -2))
-
     f0 = np.asarray(f(x))
     d2 = np.zeros(f0.shape + (n, n), dtype=f0.dtype)
     for i, ei in enumerate(steps):

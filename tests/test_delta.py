@@ -12,7 +12,7 @@ from lagdelta.delta import (DeltaTuple, OptimizerOptions, SubspaceConfig,
                             oracle_delta_dim3, oracle_delta_grid)
 from lagdelta.delta import (MAX_GRID_RESOLUTION, _GRID_AXES, _PairSet,
                             _assignment_minima, _assignment_table,
-                            _givens, _random_orthogonal,
+                            _givens, _minimize_batch, _random_orthogonal,
                             _second_compound, _within_block_pairs)
 from lagdelta.exceptions import Inadmissible
 from lagdelta.frames import (constant_curvature, pair_basis,
@@ -148,11 +148,13 @@ class TestOracleDim3:
             oracle_delta_dim3(constant_curvature(4, 1.0))
 
     def test_optimizer_agreement_sample(self):
+        # the descent itself: delta_invariant takes the closed form at n = 3
         rng = np.random.default_rng(77)
         tup = DeltaTuple(3, (2,))
         for _ in range(20):
             R = random_tensor(3, rng)
-            val, _, _ = delta_invariant(R, tup, FAST)
+            inf_vals, _, _ = _minimize_batch(R.components[None], tup, FAST)
+            val = scalar_tau(R) - inf_vals[0]
             assert val == pytest.approx(oracle_delta_dim3(R), abs=1e-6)
 
 
@@ -230,6 +232,46 @@ class TestBatch:
             single, _, _ = delta_invariant(
                 CurvatureTensor(4, comps[s]), tup, FAST)
             assert vals[s] == pytest.approx(single, abs=1e-8)
+
+
+class TestDispatcher:
+    """The hyperplane tuple (n-1) in closed form, every other tuple by the
+    optimizer, through one entry point."""
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_closed_form_matches_descent(self, n):
+        rng = np.random.default_rng([n, 41])
+        comps = np.stack([random_tensor(n, rng).components for _ in range(4)])
+        tup = DeltaTuple(n, (n - 1,))
+        vals, frames, diags = delta_invariant_batch(comps, tup, FAST)
+        inf_vals, _, _ = _minimize_batch(comps, tup, FAST)
+        descent = 0.5 * np.einsum("sabba->s", comps) - inf_vals
+        scale = 1.0 + np.abs(vals)
+        assert np.all(np.abs(vals - descent) <= 1e-9 * scale)
+        assert np.all(vals >= descent - 1e-12 * scale)
+        for d in diags:
+            assert d.summary() == {
+                "restarts": 0, "restarts_converged": 0, "iterations": 0,
+                "converged": True, "best_gap": 0.0, "assignment_rounds": 0}
+
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    def test_closed_form_config_achieves_value(self, n):
+        R = random_tensor(n, np.random.default_rng([n, 42]))
+        val, cfg, _ = delta_invariant(R, DeltaTuple(n, (n - 1,)))
+        assert cfg.blocks == (tuple(range(n - 1)),)
+        assert scalar_tau(R) - config_objective(R, cfg) == pytest.approx(
+            val, abs=1e-10)
+
+    @pytest.mark.parametrize("n,parts", [(4, (2,)), (5, (2, 2)), (6, (3,))])
+    def test_single_is_batch_of_one(self, n, parts):
+        R = random_tensor(n, np.random.default_rng([n, 43, *parts]))
+        tup = DeltaTuple(n, parts)
+        val, cfg, diag = delta_invariant(R, tup, FAST)
+        vals, frames, diags = delta_invariant_batch(R.components[None], tup,
+                                                    FAST)
+        assert val == vals[0]
+        assert cfg.frame.tobytes() == frames[0].tobytes()
+        assert diag == diags[0]
 
 
 class TestInputContract:

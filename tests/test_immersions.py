@@ -17,20 +17,18 @@ from lagdelta.immersions import (ImmersionChart, clifford_legendrian,
 
 def graph_chart(lam=1.0):
     tup = DeltaTuple(5, (2,))
-    F, grad = equality_graph_function(tup, lam)
-    return graph_immersion(F, grad=grad, n=5, name="graph")
+    return graph_immersion(equality_graph_function(tup, lam), 5, name="graph")
 
 
 class TestGraphImmersion:
     def test_zero_potential_is_flat_plane(self):
-        chart = graph_immersion(lambda x: 0.0, grad=lambda x: np.zeros(3), n=3)
+        chart = graph_immersion(lambda x: np.zeros(3), 3)
         res = induced_data_flat(chart, np.array([0.2, -0.1, 0.0]))
         assert np.abs(res.data.h).max() < 1e-10
 
     def test_quadratic_potential_has_zero_form_everywhere(self):
         A = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, -0.3], [0.0, -0.3, 0.7]])
-        chart = graph_immersion(lambda x: 0.5 * x @ A @ x,
-                                grad=lambda x: A @ x, n=3)
+        chart = graph_immersion(lambda x: A @ x, 3)
         for x in (np.zeros(3), np.array([0.3, 0.1, -0.2])):
             res = induced_data_flat(chart, x)
             assert np.abs(res.data.h).max() < 1e-8
@@ -46,13 +44,6 @@ class TestGraphImmersion:
         assert h[0, 1, 2] == pytest.approx(0.0, abs=1e-6)
         _, h2 = mean_curvature(h)
         assert h2 == pytest.approx(1.69, abs=1e-6)
-
-    def test_gradient_finite_difference_fallback(self):
-        tup = DeltaTuple(5, (2,))
-        F, _ = equality_graph_function(tup, 1.0)
-        chart = graph_immersion(F, n=5)  # no analytic gradient
-        res = induced_data_flat(chart, np.zeros(5))
-        assert res.data.h[2, 2, 2] == pytest.approx(3.0, abs=1e-4)
 
     def test_kahler_pullback_vanishes(self):
         chart = graph_chart()

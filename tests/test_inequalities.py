@@ -139,13 +139,15 @@ class TestEvaluate:
         assert rep.slack == pytest.approx(0.0, abs=1e-12)
 
     def test_dim3_uses_exact_oracle(self):
+        # (2) is the hyperplane tuple at n = 3: delta is lambda_max(Ric)
         rng = np.random.default_rng(11)
         for _ in range(5):
             data = LagrangianPointData(3, float(rng.uniform(-1, 1)),
                                        random_cubic_form(3, rng))
             rep = evaluate(data, V.OLD, DeltaTuple(3, (2,)))
-            assert rep.delta == oracle_delta_dim3(gauss_curvature(data))
-            assert rep.diagnostics is None
+            oracle = oracle_delta_dim3(gauss_curvature(data))
+            assert abs(rep.delta - oracle) <= 1e-12 * (1.0 + abs(oracle))
+            assert rep.diagnostics.restarts == 0
 
     def test_bound_report_takes_given_delta(self):
         data = LagrangianPointData(5, 0.0, graph_equality_form())
@@ -156,6 +158,22 @@ class TestEvaluate:
         assert rep.equality and rep.diagnostics is None
         with pytest.raises(Inadmissible):
             bound_report(data, V.HIGH_A, tup, 11.375)
+
+    def test_bound_report_refuses_other_dimension(self):
+        data = LagrangianPointData(5, 0.0, graph_equality_form())
+        with pytest.raises(Inadmissible, match="does not match"):
+            bound_report(data, V.OLD, DeltaTuple(4, (2,)), 1.0)
+
+    def test_evaluate_refuses_other_dimension(self, monkeypatch):
+        import lagdelta.inequalities as ineq
+
+        def no_delta(*args):
+            raise AssertionError("delta computed for a refused bound")
+
+        monkeypatch.setattr(ineq, "delta_invariant", no_delta)
+        data = LagrangianPointData(5, 0.0, graph_equality_form())
+        with pytest.raises(Inadmissible, match="does not match"):
+            evaluate(data, V.OLD, DeltaTuple(4, (2,)), FAST)
 
     def test_hyperplane_domain_guard(self):
         data = LagrangianPointData(3, 1.0, berger_form())

@@ -1,5 +1,5 @@
 """Property tests: the JSON round trip, the CLI's exit-code contract and
-the rotation invariance of equality detection.
+the rotation invariance of equality detection and of delta(n-1).
 
 Derandomized, so every run checks the same examples."""
 
@@ -16,9 +16,11 @@ from hypothesis import strategies as st
 
 from lagdelta.cli import LIMITS, main
 from lagdelta.cubic import (LagrangianPointData, cubic_triples,
-                            point_data_from_json, point_data_to_json,
-                            random_cubic_form, rotate_cubic, validate_cubic)
-from lagdelta.delta import enumerate_tuples
+                            gauss_curvature, point_data_from_json,
+                            point_data_to_json, random_cubic_form,
+                            rotate_cubic, validate_cubic)
+from lagdelta.delta import DeltaTuple, delta_invariant, enumerate_tuples
+from lagdelta.frames import rotate_tensor
 from lagdelta.inequalities import (InequalityVariant as V,
                                    admissible_variants,
                                    detect_equality_structure,
@@ -175,3 +177,15 @@ def test_deviation_is_rotation_invariant(case):
     dev = detect_equality_structure(h, tup, variant).deviation
     rotated = detect_equality_structure(h, tup, variant, frame=Q).deviation
     assert abs(rotated - dev) <= 1e-12 * (1.0 + dev)
+
+
+@PROPERTY
+@given(st.integers(3, 8), st.integers(0, 2**32 - 1), st.floats(-2.0, 2.0))
+def test_hyperplane_delta_is_rotation_invariant(n, seed, c):
+    rng = np.random.default_rng(seed)
+    R = gauss_curvature(LagrangianPointData(n, c, random_cubic_form(n, rng)))
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    tup = DeltaTuple(n, (n - 1,))
+    value, _, _ = delta_invariant(R, tup)
+    rotated, _, _ = delta_invariant(rotate_tensor(R, Q), tup)
+    assert abs(rotated - value) <= 1e-10 * (1.0 + abs(value))
