@@ -17,20 +17,17 @@ import numpy as np
 
 from .cubic import (MAX_N, gauss_curvature, mean_curvature,
                     point_data_from_json)
-from .delta import (MAX_GRID_RESOLUTION, DeltaTuple, OptimizerOptions,
-                    delta_invariant, oracle_delta_dim3, oracle_delta_grid)
+from .delta import (MAX_BATCH_ELEMENTS, MAX_GRID_RESOLUTION, DeltaTuple,
+                    OptimizerOptions, _closed_form, delta_invariant,
+                    enumerate_tuples, oracle_delta_dim3, oracle_delta_grid)
 from .exceptions import Inadmissible
 from .frames import scalar_tau
 from .gallery import example_names, example_point_data, run_example
-from .inequalities import (EQ_TOL, InequalityVariant, bound_report,
-                           coefficients, select_improved, soundness_audit)
+from .inequalities import (EQ_TOL, InequalityVariant, admissible_variants,
+                           bound_report, coefficients, select_improved,
+                           soundness_audit)
 
 __all__ = ["main"]
-
-# Element budget of one optimizer run: its largest array, the per-pair
-# gradient scratch, holds at most count * restarts * n**4 / 2 floats, so
-# the budget keeps it under 200 MB.
-MAX_BATCH_ELEMENTS = 50_000_000
 
 # Inclusive range of each numeric option, by argparse dest, and how the
 # error names it.  ``main`` checks them before any command runs; NaN fails
@@ -130,8 +127,8 @@ def _check_limits(args):
 
 
 def _check_budget(count: int, restarts: int, n: int):
-    """Refuse a run of ``count`` samples with ``restarts`` starts each at
-    dimension n that exceeds the element budget."""
+    """Refuse an optimizer run of ``count`` samples with ``restarts`` starts
+    each at dimension n that exceeds the element budget."""
     if count * restarts * n ** 4 > MAX_BATCH_ELEMENTS:
         raise ValueError(f"count * restarts * n**4 = "
                          f"{count * restarts * n ** 4} exceeds the budget of "
@@ -196,7 +193,8 @@ def _cmd_delta(args) -> int:
         variant = InequalityVariant(args.variant)
         coefficients(variant, tup)  # refuse an inadmissible pairing up front
     R = gauss_curvature(data)
-    _check_budget(1, args.restarts, data.n)
+    if not _closed_form(tup):
+        _check_budget(1, args.restarts, data.n)
     opts = OptimizerOptions(restarts=args.restarts, max_iters=args.max_iters,
                             seed=args.seed)
     value, config, diag = delta_invariant(R, tup, opts)
@@ -256,11 +254,18 @@ def _cmd_delta(args) -> int:
 
 def _cmd_audit(args) -> int:
     ns = _parse_n_spec(args.n_spec)
-    _check_budget(args.count, args.restarts, ns[-1])
     variants = None
     if args.variants:
         variants = [InequalityVariant(v.strip())
                     for v in args.variants.split(",")]
+    # the largest dimension where a selected variant bounds a tuple that
+    # runs the optimizer, as soundness_audit picks its tuples
+    optimized = [n for n in ns for tup in enumerate_tuples(n)
+                 if not _closed_form(tup)
+                 and any(variants is None or v in variants
+                         for v in admissible_variants(tup))]
+    if optimized:
+        _check_budget(args.count, args.restarts, max(optimized))
     opts = OptimizerOptions(restarts=args.restarts, seed=args.seed)
     threshold = -1e-9
     worst = np.inf

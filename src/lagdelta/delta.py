@@ -166,6 +166,11 @@ _STALL_ITERS = 20
 _ASSIGNMENT_ROUNDS = 2  # polish-and-descend rounds after the restarts
 _CHUNK_ENTRIES = 2_000_000  # per block of the grid GEMM and assignment gather
 
+# Element budget of one optimizer run: its largest array, the per-pair
+# gradient scratch, holds at most samples * restarts * n**4 / 2 floats, so
+# the budget keeps it under 200 MB.
+MAX_BATCH_ELEMENTS = 50_000_000
+
 
 @dataclass
 class DeltaDiagnostics:
@@ -486,6 +491,12 @@ def _minimize_batch(components: np.ndarray, tup: DeltaTuple,
     return best_f, best_Q, diags
 
 
+def _closed_form(tup: DeltaTuple) -> bool:
+    """Whether delta of the tuple is closed form (the hyperplane tuple
+    n-1), so that no optimizer runs for it."""
+    return tup.parts == (tup.n - 1,)
+
+
 def delta_invariant_batch(components: np.ndarray, tup: DeltaTuple,
                           opts: OptimizerOptions | None = None):
     """delta over a stack of curvature components (S, n, n, n, n).
@@ -513,7 +524,7 @@ def delta_invariant_batch(components: np.ndarray, tup: DeltaTuple,
     if not (np.abs(components) <= MAX_COMPONENT).all():
         raise ValueError(f"curvature components must be finite and at "
                          f"most {MAX_COMPONENT:g} in magnitude")
-    if tup.parts == (n - 1,):
+    if _closed_form(tup):
         vals, frames = _ricci_eigh(components)
         return vals[:, -1], frames, [
             DeltaDiagnostics(restarts=0, iterations=0, converged=True,

@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cubic import tau_from_cubic, validate_cubic
-from .delta import DeltaTuple, OptimizerOptions
+from .cubic import gauss_components, tau_from_cubic, validate_cubic
+from .delta import (MAX_BATCH_ELEMENTS, DeltaTuple, OptimizerOptions,
+                    delta_invariant_batch)
 from .exceptions import Inadmissible
 from .fields import compatibility_report, exotic_s3_field
 from .immersions import (OdeState, clifford_legendrian, cp_equality_chart,
@@ -22,7 +23,7 @@ from .immersions import (OdeState, clifford_legendrian, cp_equality_chart,
                          horizontality_residual, induced_data_flat,
                          induced_data_horizontal, lagrangian_residual,
                          ode_family_integrate, trajectory_residuals)
-from .inequalities import InequalityVariant, evaluate
+from .inequalities import InequalityVariant, bound_report, evaluate
 
 __all__ = ["Claim", "GALLERY", "run_example", "example_names",
            "example_point_data", "mesh_export"]
@@ -63,6 +64,21 @@ def _mesh_rows(chart, samples, seed):
     hi = chart.domain[:, 1]
     pad = _MESH_MARGIN * (hi - lo)
     return rng.uniform(lo + pad, hi - pad, size=(samples, chart.n))
+
+
+def _bound_reports(datas, variant, tup, opts):
+    """``evaluate`` of one bound on point data of one chart (all sharing
+    c), with the deltas from one ``delta_invariant_batch`` call per chunk
+    of at most ``MAX_BATCH_ELEMENTS // (restarts * n**4)`` rows."""
+    rows = max(1, MAX_BATCH_ELEMENTS // (opts.restarts * tup.n ** 4))
+    reports = []
+    for lo in range(0, len(datas), rows):
+        chunk = datas[lo:lo + rows]
+        comps = gauss_components(np.stack([d.h for d in chunk]), chunk[0].c)
+        deltas, _, diags = delta_invariant_batch(comps, tup, opts)
+        reports += [bound_report(d, variant, tup, float(v), diagnostics=g)
+                    for d, v, g in zip(chunk, deltas, diags)]
+    return reports
 
 
 def _graph_chart(domain=None):
@@ -158,16 +174,12 @@ def verify_flat_family(samples: int = 50, seed: int = 0) -> list[Claim]:
     c = 0 bound delta(n-1) <= n(n-1) H^2 / 4 is attained."""
     chart = _flat_chart()
     pts = _mesh_rows(chart, samples, seed)
-    worst_omega = worst_slack = 0.0
-    min_h2 = np.inf
-    opts = OptimizerOptions(restarts=6, seed=seed)
-    for x in pts:
-        worst_omega = max(worst_omega, lagrangian_residual(chart, x))
-        ex = induced_data_flat(chart, x)
-        rep = evaluate(ex.data, InequalityVariant.HYPERPLANE_FLAT,
-                       _FAMILY_TUPLE, opts)
-        min_h2 = min(min_h2, rep.h2)
-        worst_slack = max(worst_slack, abs(rep.slack))
+    worst_omega = max(lagrangian_residual(chart, x) for x in pts)
+    reports = _bound_reports([induced_data_flat(chart, x).data for x in pts],
+                             InequalityVariant.HYPERPLANE_FLAT, _FAMILY_TUPLE,
+                             OptimizerOptions(restarts=6, seed=seed))
+    min_h2 = min(rep.h2 for rep in reports)
+    worst_slack = max(abs(rep.slack) for rep in reports)
     return [
         _claim("kahler-pullback", worst_omega, 1e-8),
         _claim("nonminimal", min_h2, 1e-6, "min H^2 > 0", lower=True),
@@ -186,16 +198,13 @@ def verify_cp_family(samples: int = 20, seed: int = 0) -> list[Claim]:
 
     chart = _cp_chart(traj)
     pts = _mesh_rows(chart, samples, seed)
-    worst_norm = worst_horiz = worst_slack = 0.0
-    opts = OptimizerOptions(restarts=6, seed=seed)
-    for x in pts:
-        L = chart.eval(x)
-        worst_norm = max(worst_norm, abs(np.linalg.norm(L) - 1.0))
-        worst_horiz = max(worst_horiz, horizontality_residual(chart, x))
-        ex = induced_data_horizontal(chart, x)
-        rep = evaluate(ex.data, InequalityVariant.HYPERPLANE_CP,
-                       _FAMILY_TUPLE, opts)
-        worst_slack = max(worst_slack, abs(rep.slack))
+    worst_norm = max(abs(np.linalg.norm(chart.eval(x)) - 1.0) for x in pts)
+    worst_horiz = max(horizontality_residual(chart, x) for x in pts)
+    reports = _bound_reports(
+        [induced_data_horizontal(chart, x).data for x in pts],
+        InequalityVariant.HYPERPLANE_CP, _FAMILY_TUPLE,
+        OptimizerOptions(restarts=6, seed=seed))
+    worst_slack = max(abs(rep.slack) for rep in reports)
     return [
         _claim("integrator-residual", resid, 1e-9, f"step {_CP_STEP:g}"),
         _claim("integrator-order", ratio, 10.0,
@@ -272,12 +281,12 @@ def mesh_export(name: str, samples: int = 25, seed: int = 0):
     header = ([f"x{i}" for i in range(chart.n)]
               + [f"L{k}_{p}" for k in range(ambient_dim) for p in ("re", "im")]
               + ["tau", "h2", f"slack_{variant.value}"])
-    opts = OptimizerOptions(restarts=6, seed=seed)
+    datas = [extract(chart, x).data for x in pts]
+    reports = _bound_reports(datas, variant, tup,
+                             OptimizerOptions(restarts=6, seed=seed))
     rows = []
-    for x in pts:
+    for x, data, rep in zip(pts, datas, reports):
         L = chart.eval(x)
-        data = extract(chart, x).data
-        rep = evaluate(data, variant, tup, opts)
         row = list(x) + [v for z in L for v in (z.real, z.imag)]
         row += [tau_from_cubic(data), rep.h2, rep.slack]
         rows.append(row)

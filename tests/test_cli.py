@@ -224,6 +224,15 @@ class TestDelta:
         assert captured.err.startswith("error:") and "budget" in captured.err
         assert captured.out == ""
 
+    def test_hyperplane_tuple_skips_budget(self, tmp_path):
+        # the closed-form (n-1) delta runs no optimizer, so no budget applies
+        path = write_point(tmp_path, {"n": 12, "c": 0.0, "h": []})
+        out = tmp_path / "report.json"
+        restarts = MAX_BATCH_ELEMENTS // 12 ** 4 + 1
+        assert main(["delta", "--input", path, "--tuple", "11",
+                     "--restarts", str(restarts), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["diagnostics"]["restarts"] == 0
+
     def test_dimension_above_12_exits_2(self, tmp_path, capsys):
         path = write_point(tmp_path, {"n": 13, "c": 0.0, "h": [[1, 1, 1, 1]]})
         assert main(["delta", "--input", path, "--tuple", "2"]) == 2
@@ -302,6 +311,12 @@ class TestAudit:
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and "budget" in captured.err
         assert captured.out == ""  # rejected before any sweep ran
+
+    def test_closed_form_dimension_skips_budget(self, capsys):
+        # every tuple at n = 3 is (n-1): no optimizer runs, no budget applies
+        assert main(["audit", "--n", "3", "--count", "1000",
+                     "--restarts", "20000"]) == 0
+        assert "OK" in capsys.readouterr().out
 
     def test_bad_variant_exits_2(self):
         assert main(["audit", "--n", "3", "--count", "5",

@@ -1,6 +1,11 @@
+import numpy as np
 import pytest
 
+from lagdelta import gallery
+from lagdelta.delta import OptimizerOptions
 from lagdelta.gallery import example_names, mesh_export, run_example
+from lagdelta.immersions import induced_data_flat, induced_data_horizontal
+from lagdelta.inequalities import evaluate
 
 
 @pytest.mark.parametrize("name", example_names())
@@ -11,3 +16,62 @@ def test_samples_below_one_rejected(name, samples):
         run_example(name, samples=samples)
     with pytest.raises(ValueError, match="samples must be >= 1"):
         mesh_export(name, samples=samples)
+
+
+def count_batches(monkeypatch) -> list:
+    """Record the stack size of every delta_invariant_batch call the
+    gallery makes."""
+    sizes = []
+    batch = gallery.delta_invariant_batch
+
+    def counted(components, tup, opts=None):
+        sizes.append(len(components))
+        return batch(components, tup, opts)
+
+    monkeypatch.setattr(gallery, "delta_invariant_batch", counted)
+    return sizes
+
+
+def test_mesh_export_is_one_batch(monkeypatch):
+    sizes = count_batches(monkeypatch)
+    _, rows = mesh_export("graph-8.2", 25, seed=0)
+    assert len(rows) == 25
+    assert sizes == [25]
+
+
+@pytest.mark.parametrize("name", ["thm-9.2", "thm-9.3"])
+def test_family_checks_are_one_batch(monkeypatch, name):
+    sizes = count_batches(monkeypatch)
+    assert all(c.passed for c in run_example(name, samples=7))
+    assert sizes == [7]
+
+
+@pytest.mark.parametrize("name,seed", [
+    ("graph-8.2", 0), ("graph-8.2", 1), ("graph-8.2", 2),
+    ("exotic-s3", 0), ("thm-9.2", 0), ("thm-9.3", 0)])
+def test_mesh_slack_matches_evaluate(name, seed):
+    chart, variant, tup = gallery._mesh_chart_and_bound(name)
+    extract = (induced_data_flat if chart.ambient == "flat"
+               else induced_data_horizontal)
+    opts = OptimizerOptions(restarts=6, seed=seed)
+    _, rows = mesh_export(name, 25, seed)
+    pts = gallery._mesh_rows(chart, 25, seed)
+    for x, row in zip(pts, rows):
+        assert row[:len(x)] == list(x)
+        slack = evaluate(extract(chart, x).data, variant, tup, opts).slack
+        if tup.parts == (tup.n - 1,):
+            assert row[-1] == slack  # closed form: batching changes no bit
+        else:
+            assert abs(row[-1] - slack) <= 1e-10 * (1 + abs(slack))
+
+
+def test_chunked_export_agrees(monkeypatch):
+    _, whole = mesh_export("graph-8.2", 25, seed=0)
+    sizes = count_batches(monkeypatch)
+    # room for 10 rows of 6 restarts at n = 5
+    monkeypatch.setattr(gallery, "MAX_BATCH_ELEMENTS", 10 * 6 * 5 ** 4)
+    _, rows = mesh_export("graph-8.2", 25, seed=0)
+    assert sizes == [10, 10, 5]
+    assert len(rows) == 25
+    np.testing.assert_allclose(np.array(rows), np.array(whole),
+                               rtol=1e-10, atol=1e-10)
