@@ -13,7 +13,7 @@ import numpy as np
 from lagdelta import (DeltaTuple, InequalityVariant as V, OptimizerOptions,
                       coefficients, delta_invariant, detect_equality_structure,
                       equality_graph_function, gauss_curvature,
-                      graph_immersion, induced_data_flat, lagrangian_residual,
+                      graph_immersion, induced_data, lagrangian_residual,
                       mean_curvature)
 
 tup = DeltaTuple(5, (2,))
@@ -24,7 +24,7 @@ chart = graph_immersion(equality_graph_function(tup, lam=1.0), 5,
 x = np.array([0.2, -0.1, 0.05, 0.3, -0.25])
 print("Kahler pullback at a random point:", lagrangian_residual(chart, x))
 
-extraction = induced_data_flat(chart, np.zeros(5))
+extraction = induced_data(chart, np.zeros(5))
 h = extraction.data.h
 print("extraction symmetry deviation:", extraction.symmetry_deviation)
 print("cubic coefficients at 0 (third derivatives of F), 1-based triples:")

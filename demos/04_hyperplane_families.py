@@ -11,11 +11,10 @@ machine precision at every sampled point.
 import numpy as np
 
 from lagdelta import (OdeState, clifford_legendrian, cp_equality_chart,
-                      flat_equality_chart, gauss_curvature,
-                      horizontality_residual, induced_data_flat,
-                      induced_data_horizontal, lagrangian_residual,
-                      mean_curvature, ode_family_integrate,
-                      oracle_delta_dim3, trajectory_residuals)
+                      flat_equality_chart, gauss_curvature, induced_data,
+                      lagrangian_residual, mean_curvature,
+                      ode_family_integrate, oracle_delta_dim3,
+                      trajectory_residuals)
 
 n = 3
 torus = clifford_legendrian(n)  # minimal Legendrian torus, checked at build
@@ -26,7 +25,7 @@ rng = np.random.default_rng(1)
 lo, hi = chart.domain[:, 0], chart.domain[:, 1]
 for _ in range(4):
     x = rng.uniform(lo + 0.05, hi - 0.05)
-    data = induced_data_flat(chart, x).data
+    data = induced_data(chart, x).data
     _, h2 = mean_curvature(data.h)
     delta = oracle_delta_dim3(gauss_curvature(data))
     print(f"  lambda = {x[0]:.3f}: omega = "
@@ -41,12 +40,13 @@ chart = cp_equality_chart(n, traj, torus)
 for _ in range(4):
     x = np.array([rng.uniform(0.05, 0.45), rng.uniform(-1, 1),
                   rng.uniform(-1, 1)])
-    data = induced_data_horizontal(chart, x).data
+    extraction = induced_data(chart, x)  # c = 1 for a sphere chart
+    data = extraction.data
     _, h2 = mean_curvature(data.h)
     delta = oracle_delta_dim3(gauss_curvature(data))
     rhs = (n - 1) * (n * h2 + 4) / 4
     print(f"  t = {x[0]:.3f}: horizontality = "
-          f"{horizontality_residual(chart, x):.1e}, H^2 = {h2:.4f}, "
+          f"{extraction.horizontality_residual:.1e}, H^2 = {h2:.4f}, "
           f"delta(2) = {delta:.6f}, slack = {rhs - delta:.1e}")
 
 print("\nBoth families are non-minimal everywhere yet attain their bound,")

@@ -19,7 +19,7 @@ from .inequalities import (InequalityReport, InequalityVariant,
                            StructureReport, admissible_variants,
                            bound_report, coefficients,
                            detect_equality_structure, evaluate,
-                           select_improved, soundness_audit,
+                           evaluate_batch, select_improved, soundness_audit,
                            synthesize_equality_data)
 from .fields import (CompatibilityReport, CubicField, compatibility_report,
                      exotic_s3_field)
@@ -27,10 +27,10 @@ from .immersions import (ExtractedData, ImmersionChart, OdeState, Trajectory,
                          clifford_legendrian, cp_equality_chart,
                          equality_graph_function, exotic_s3_horizontal_chart,
                          flat_equality_chart, graph_immersion,
-                         horizontality_residual, induced_data_flat,
-                         induced_data_horizontal, intrinsic_curvature_fd,
-                         lagrangian_residual, legendrian_minimality_residual,
-                         ode_family_integrate, trajectory_residuals)
+                         horizontality_residual, induced_data,
+                         intrinsic_curvature_fd, lagrangian_residual,
+                         legendrian_minimality_residual, ode_family_integrate,
+                         trajectory_residuals)
 from .gallery import GALLERY, Claim, example_names, mesh_export, run_example
 
 __all__ = [
@@ -48,8 +48,8 @@ __all__ = [
     # inequalities
     "InequalityReport", "InequalityVariant", "StructureReport",
     "admissible_variants", "bound_report", "coefficients",
-    "detect_equality_structure", "evaluate", "select_improved",
-    "soundness_audit", "synthesize_equality_data",
+    "detect_equality_structure", "evaluate", "evaluate_batch",
+    "select_improved", "soundness_audit", "synthesize_equality_data",
     # fields
     "CompatibilityReport", "CubicField", "compatibility_report",
     "exotic_s3_field",
@@ -57,8 +57,8 @@ __all__ = [
     "ExtractedData", "ImmersionChart", "OdeState", "Trajectory",
     "clifford_legendrian", "cp_equality_chart", "equality_graph_function",
     "exotic_s3_horizontal_chart", "flat_equality_chart", "graph_immersion",
-    "horizontality_residual", "induced_data_flat", "induced_data_horizontal",
-    "intrinsic_curvature_fd", "lagrangian_residual",
+    "horizontality_residual", "induced_data", "intrinsic_curvature_fd",
+    "lagrangian_residual",
     "legendrian_minimality_residual", "ode_family_integrate",
     "trajectory_residuals",
     # gallery

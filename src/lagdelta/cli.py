@@ -31,9 +31,11 @@ __all__ = ["main"]
 
 # Inclusive range of each numeric option, by argparse dest, and how the
 # error names it.  ``main`` checks them before any command runs; NaN fails
-# both comparisons, so it is refused too.
+# both comparisons, so it is refused too.  ``verify`` holds every sample's
+# point data, report and mesh row at once, a few kB each, so 100 000
+# samples stay within a few hundred MB (and take minutes, not hours).
 LIMITS = {
-    "samples": (1, math.inf, ">= 1"),
+    "samples": (1, 100_000, "in 1..100000"),
     "count": (1, math.inf, ">= 1"),
     "restarts": (1, math.inf, ">= 1"),
     "max_iters": (1, math.inf, ">= 1"),
@@ -126,14 +128,20 @@ def _check_limits(args):
             raise ValueError(f"--{name.replace('_', '-')} must be {bound}")
 
 
-def _check_budget(count: int, restarts: int, n: int):
-    """Refuse an optimizer run of ``count`` samples with ``restarts`` starts
-    each at dimension n that exceeds the element budget."""
-    if count * restarts * n ** 4 > MAX_BATCH_ELEMENTS:
-        raise ValueError(f"count * restarts * n**4 = "
-                         f"{count * restarts * n ** 4} exceeds the budget of "
-                         f"{MAX_BATCH_ELEMENTS} elements; lower --count or "
-                         f"--restarts")
+def _check_budget(count: int, n: int, restarts: int = 1):
+    """Refuse a run of ``count`` samples at dimension n whose arrays exceed
+    the element budget: the curvature stack, count * n**4, and with
+    ``restarts`` the optimizer's count * restarts * n**4.  The error names
+    only the factors above 1, the ones a user can lower."""
+    size = count * restarts * n ** 4
+    if size > MAX_BATCH_ELEMENTS:
+        names = [name for name, value in (("count", count),
+                                          ("restarts", restarts))
+                 if value > 1]
+        raise ValueError(f"{' * '.join(names + ['n**4'])} = {size} at "
+                         f"n = {n} exceeds the budget of {MAX_BATCH_ELEMENTS} "
+                         f"elements; lower "
+                         f"{' or '.join('--' + name for name in names)}")
 
 
 def _cmd_verify(args) -> int:
@@ -194,7 +202,7 @@ def _cmd_delta(args) -> int:
         coefficients(variant, tup)  # refuse an inadmissible pairing up front
     R = gauss_curvature(data)
     if not _closed_form(tup):
-        _check_budget(1, args.restarts, data.n)
+        _check_budget(1, data.n, args.restarts)
     opts = OptimizerOptions(restarts=args.restarts, max_iters=args.max_iters,
                             seed=args.seed)
     value, config, diag = delta_invariant(R, tup, opts)
@@ -258,14 +266,16 @@ def _cmd_audit(args) -> int:
     if args.variants:
         variants = [InequalityVariant(v.strip())
                     for v in args.variants.split(",")]
-    # the largest dimension where a selected variant bounds a tuple that
-    # runs the optimizer, as soundness_audit picks its tuples
+    # the curvature stack is built at every n; restarts multiply it where
+    # a selected variant bounds a tuple that runs the optimizer, as
+    # soundness_audit picks its tuples
+    _check_budget(args.count, max(ns))
     optimized = [n for n in ns for tup in enumerate_tuples(n)
                  if not _closed_form(tup)
                  and any(variants is None or v in variants
                          for v in admissible_variants(tup))]
     if optimized:
-        _check_budget(args.count, args.restarts, max(optimized))
+        _check_budget(args.count, max(optimized), args.restarts)
     opts = OptimizerOptions(restarts=args.restarts, seed=args.seed)
     threshold = -1e-9
     worst = np.inf

@@ -319,7 +319,6 @@ def _descend(Q0, M0, ps: _PairSet, opts: OptimizerOptions):
         if window_end:
             snap = f.copy()
 
-        new_f = f.copy()
         accepted = np.zeros(idx.size, dtype=bool)
         sub = np.arange(idx.size)
         for _ in range(40):
@@ -332,7 +331,6 @@ def _descend(Q0, M0, ps: _PairSet, opts: OptimizerOptions):
             ok = ft <= f[sub] - 1e-4 * step[sub] * g2[sub]
             good = sub[ok]
             Q[good] = Qt[ok]
-            new_f[good] = ft[ok]
             accepted[good] = True
             bad = sub[~ok]
             step[bad] *= 0.5

@@ -12,18 +12,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cubic import gauss_components, tau_from_cubic, validate_cubic
-from .delta import (MAX_BATCH_ELEMENTS, DeltaTuple, OptimizerOptions,
-                    delta_invariant_batch)
+from .cubic import tau_from_cubic, validate_cubic
+from .delta import DeltaTuple, OptimizerOptions
 from .exceptions import Inadmissible
 from .fields import compatibility_report, exotic_s3_field
 from .immersions import (OdeState, clifford_legendrian, cp_equality_chart,
                          equality_graph_function, exotic_s3_horizontal_chart,
-                         flat_equality_chart, graph_immersion,
-                         horizontality_residual, induced_data_flat,
-                         induced_data_horizontal, lagrangian_residual,
-                         ode_family_integrate, trajectory_residuals)
-from .inequalities import InequalityVariant, bound_report, evaluate
+                         flat_equality_chart, graph_immersion, induced_data,
+                         lagrangian_residual, ode_family_integrate,
+                         trajectory_residuals)
+from .inequalities import InequalityVariant, evaluate, evaluate_batch
 
 __all__ = ["Claim", "GALLERY", "run_example", "example_names",
            "example_point_data", "mesh_export"]
@@ -66,21 +64,6 @@ def _mesh_rows(chart, samples, seed):
     return rng.uniform(lo + pad, hi - pad, size=(samples, chart.n))
 
 
-def _bound_reports(datas, variant, tup, opts):
-    """``evaluate`` of one bound on point data of one chart (all sharing
-    c), with the deltas from one ``delta_invariant_batch`` call per chunk
-    of at most ``MAX_BATCH_ELEMENTS // (restarts * n**4)`` rows."""
-    rows = max(1, MAX_BATCH_ELEMENTS // (opts.restarts * tup.n ** 4))
-    reports = []
-    for lo in range(0, len(datas), rows):
-        chunk = datas[lo:lo + rows]
-        comps = gauss_components(np.stack([d.h for d in chunk]), chunk[0].c)
-        deltas, _, diags = delta_invariant_batch(comps, tup, opts)
-        reports += [bound_report(d, variant, tup, float(v), diagnostics=g)
-                    for d, v, g in zip(chunk, deltas, diags)]
-    return reports
-
-
 def _graph_chart(domain=None):
     """The gradient graph whose data at 0 attains the improved bound."""
     return graph_immersion(equality_graph_function(DeltaTuple(5, (2,)), 1.0),
@@ -114,7 +97,7 @@ def verify_exotic_s3(samples: int = 100, seed: int = 0) -> list[Claim]:
     chart = exotic_s3_horizontal_chart()
     worst_cross = worst_horiz = 0.0
     for u in _mesh_rows(chart, samples, seed + 1):
-        ex = induced_data_horizontal(chart, u)
+        ex = induced_data(chart, u)
         worst_cross = max(worst_cross,
                           abs(tau_from_cubic(ex.data) - 1.0 / 3.0))
         worst_horiz = max(worst_horiz, ex.horizontality_residual)
@@ -139,7 +122,7 @@ def verify_graph_equality(samples: int = 1, seed: int = 0) -> list[Claim]:
     improved bound is attained with nonzero mean curvature."""
     tup = DeltaTuple(5, (2,))
     chart = _graph_chart()
-    ex = induced_data_flat(chart, np.zeros(5))
+    ex = induced_data(chart, np.zeros(5))
 
     # analytic third derivatives of F at 0 (the independent oracle)
     expected = validate_cubic([(1, 1, 3, 0.75), (2, 2, 3, 0.75),
@@ -175,9 +158,8 @@ def verify_flat_family(samples: int = 50, seed: int = 0) -> list[Claim]:
     chart = _flat_chart()
     pts = _mesh_rows(chart, samples, seed)
     worst_omega = max(lagrangian_residual(chart, x) for x in pts)
-    reports = _bound_reports([induced_data_flat(chart, x).data for x in pts],
-                             InequalityVariant.HYPERPLANE_FLAT, _FAMILY_TUPLE,
-                             OptimizerOptions(restarts=6, seed=seed))
+    reports = evaluate_batch([induced_data(chart, x).data for x in pts],
+                             InequalityVariant.HYPERPLANE_FLAT, _FAMILY_TUPLE)
     min_h2 = min(rep.h2 for rep in reports)
     worst_slack = max(abs(rep.slack) for rep in reports)
     return [
@@ -199,11 +181,10 @@ def verify_cp_family(samples: int = 20, seed: int = 0) -> list[Claim]:
     chart = _cp_chart(traj)
     pts = _mesh_rows(chart, samples, seed)
     worst_norm = max(abs(np.linalg.norm(chart.eval(x)) - 1.0) for x in pts)
-    worst_horiz = max(horizontality_residual(chart, x) for x in pts)
-    reports = _bound_reports(
-        [induced_data_horizontal(chart, x).data for x in pts],
-        InequalityVariant.HYPERPLANE_CP, _FAMILY_TUPLE,
-        OptimizerOptions(restarts=6, seed=seed))
+    extracted = [induced_data(chart, x) for x in pts]
+    worst_horiz = max(ex.horizontality_residual for ex in extracted)
+    reports = evaluate_batch([ex.data for ex in extracted],
+                             InequalityVariant.HYPERPLANE_CP, _FAMILY_TUPLE)
     worst_slack = max(abs(rep.slack) for rep in reports)
     return [
         _claim("integrator-residual", resid, 1e-9, f"step {_CP_STEP:g}"),
@@ -247,7 +228,7 @@ def example_point_data(name: str):
     if canonical == "exotic-s3":
         return exotic_s3_field().lagrangian_data()
     if canonical == "graph-8.2":
-        return induced_data_flat(_graph_chart(), np.zeros(5)).data
+        return induced_data(_graph_chart(), np.zeros(5)).data
     raise Inadmissible(f"no pointwise data registered for example {name!r}; "
                        f"use exotic-s3 or graph-8.2")
 
@@ -274,15 +255,13 @@ def mesh_export(name: str, samples: int = 25, seed: int = 0):
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     chart, variant, tup = _mesh_chart_and_bound(name)
-    extract = (induced_data_flat if chart.ambient == "flat"
-               else induced_data_horizontal)
     pts = _mesh_rows(chart, samples, seed)
     ambient_dim = len(chart.eval(pts[0]))
     header = ([f"x{i}" for i in range(chart.n)]
               + [f"L{k}_{p}" for k in range(ambient_dim) for p in ("re", "im")]
               + ["tau", "h2", f"slack_{variant.value}"])
-    datas = [extract(chart, x).data for x in pts]
-    reports = _bound_reports(datas, variant, tup,
+    datas = [induced_data(chart, x).data for x in pts]
+    reports = evaluate_batch(datas, variant, tup,
                              OptimizerOptions(restarts=6, seed=seed))
     rows = []
     for x, data, rep in zip(pts, datas, reports):

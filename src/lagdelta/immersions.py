@@ -27,8 +27,7 @@ __all__ = [
     "ExtractedData",
     "graph_immersion",
     "equality_graph_function",
-    "induced_data_flat",
-    "induced_data_horizontal",
+    "induced_data",
     "lagrangian_residual",
     "horizontality_residual",
     "clifford_legendrian",
@@ -105,7 +104,8 @@ class ImmersionChart:
 
 @dataclass
 class ExtractedData:
-    """Pointwise data plus the extraction's consistency residuals."""
+    """Pointwise data plus the extraction's consistency residuals; the
+    horizontality residual is None for a flat chart."""
 
     data: LagrangianPointData
     symmetry_deviation: float
@@ -119,11 +119,14 @@ def lagrangian_residual(chart: ImmersionChart, x: np.ndarray) -> float:
     return float(np.abs(gram.imag).max())
 
 
+def _horizontality(L: np.ndarray, dL: np.ndarray) -> float:
+    """Max over chart axes of |<dL_a, i L>|."""
+    return float(np.abs(np.einsum("ka,k->a", dL, L.conj()).imag).max())
+
+
 def horizontality_residual(chart: ImmersionChart, x: np.ndarray) -> float:
     """Max over chart axes of |<dL_a, i L>| at a sphere-chart point."""
-    L0 = chart.eval(x)
-    dL = chart.jac(x)
-    return float(np.abs(np.einsum("ka,k->a", dL, L0.conj()).imag).max())
+    return _horizontality(chart.eval(x), chart.jac(x))
 
 
 def _raw_cubic(chart: ImmersionChart, x: np.ndarray,
@@ -142,52 +145,33 @@ def _raw_cubic(chart: ImmersionChart, x: np.ndarray,
     return np.einsum("kBC,kA->ABC", d2f, tangents.conj()).imag
 
 
-def _extract(chart: ImmersionChart, x: np.ndarray, c: float,
-             dL: np.ndarray) -> tuple[LagrangianPointData, float]:
-    """Symmetrized cubic data and the raw coefficients' symmetry deviation."""
-    raw = _raw_cubic(chart, x, dL)
-    return (LagrangianPointData(chart.n, c, symmetrize_cubic(raw),
-                                source=chart.name), symmetry_deviation(raw))
-
-
-def induced_data_flat(chart: ImmersionChart, x: np.ndarray) -> ExtractedData:
-    """Pointwise data of a flat-ambient chart (c = 0).
+def induced_data(chart: ImmersionChart, x: np.ndarray) -> ExtractedData:
+    """Pointwise data at a chart point: c = 0 for a flat chart, and c = 1
+    for the Hopf projection of a horizontal sphere chart.
 
     The totally symmetric cubic coefficients come from pairing ambient
     second derivatives with i times the tangent frame; their raw symmetry
-    deviation is the Lagrangian consistency check.
+    deviation is the Lagrangian consistency check.  On a sphere chart,
+    horizontality is checked, not assumed, and reported; the projected
+    metric is then the pullback metric.  The chart is differentiated once.
     """
-    if chart.ambient != "flat":
-        raise ValueError("induced_data_flat expects a flat chart")
     chart.check_domain(x, margin=2 * chart.step)
+    sphere = chart.ambient == "sphere"
     dL = chart.jac(x)
-    data, dev = _extract(chart, x, 0.0, dL)
-    if dev > _FLAT_SYMMETRY_TOL:
+    resid = None
+    if sphere:
+        resid = _horizontality(chart.eval(x), dL)
+        if resid > _HORIZONTALITY_TOL:
+            raise HorizontalityError(resid)
+    raw = _raw_cubic(chart, x, dL)
+    dev = symmetry_deviation(raw)
+    tol = _SPHERE_SYMMETRY_TOL if sphere else _FLAT_SYMMETRY_TOL
+    if dev > tol:
         raise ValueError(f"cubic symmetry deviation {dev:.3e} exceeds "
-                         f"{_FLAT_SYMMETRY_TOL:.1e}; the chart point is not "
-                         f"consistent Lagrangian data")
-    return ExtractedData(data, dev)
-
-
-def induced_data_horizontal(chart: ImmersionChart,
-                            x: np.ndarray) -> ExtractedData:
-    """Pointwise data of the Hopf projection of a horizontal sphere chart.
-
-    Horizontality is checked, not assumed; the projected metric is the
-    pullback metric and the cubic coefficients pair second derivatives
-    with i dL exactly as in the flat case (c = 1).
-    """
-    if chart.ambient != "sphere":
-        raise ValueError("induced_data_horizontal expects a sphere chart")
-    chart.check_domain(x, margin=2 * chart.step)
-    resid = horizontality_residual(chart, x)
-    if resid > _HORIZONTALITY_TOL:
-        raise HorizontalityError(resid)
-    dL = chart.jac(x)
-    data, dev = _extract(chart, x, 1.0, dL)
-    if dev > _SPHERE_SYMMETRY_TOL:
-        raise ValueError(f"cubic symmetry deviation {dev:.3e} exceeds "
-                         f"{_SPHERE_SYMMETRY_TOL:.1e}")
+                         f"{tol:.1e}; the chart point is not consistent "
+                         f"Lagrangian data")
+    data = LagrangianPointData(chart.n, 1.0 if sphere else 0.0,
+                               symmetrize_cubic(raw), source=chart.name)
     return ExtractedData(data, dev, resid)
 
 

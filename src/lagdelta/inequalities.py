@@ -15,9 +15,8 @@ from fractions import Fraction
 import numpy as np
 
 from .cubic import (LagrangianPointData, cubic_triples, gauss_components,
-                    gauss_curvature, mean_curvature, rotate_cubic,
-                    scatter_cubic)
-from .delta import (DeltaTuple, OptimizerOptions, delta_invariant,
+                    mean_curvature, rotate_cubic, scatter_cubic)
+from .delta import (MAX_BATCH_ELEMENTS, DeltaTuple, OptimizerOptions,
                     delta_invariant_batch, enumerate_tuples)
 from .exceptions import Inadmissible
 
@@ -29,6 +28,7 @@ __all__ = [
     "select_improved",
     "admissible_variants",
     "evaluate",
+    "evaluate_batch",
     "bound_report",
     "detect_equality_structure",
     "synthesize_equality_data",
@@ -191,16 +191,38 @@ def _check_bound(data: LagrangianPointData, variant: InequalityVariant,
 def evaluate(data: LagrangianPointData, variant: InequalityVariant,
              tup: DeltaTuple, opts: OptimizerOptions | None = None,
              eq_tol: float = EQ_TOL) -> InequalityReport:
-    """Evaluate one bound on one data point.
+    """Evaluate one bound on one data point: :func:`evaluate_batch` on a
+    sequence of one."""
+    return evaluate_batch([data], variant, tup, opts, eq_tol)[0]
 
-    The bound is checked first, so an inadmissible one costs no delta;
-    delta comes from :func:`~lagdelta.delta.delta_invariant`.  An
-    unconverged optimizer propagates as a flagged report, never a silent
-    failure.
+
+def evaluate_batch(datas, variant: InequalityVariant, tup: DeltaTuple,
+                   opts: OptimizerOptions | None = None,
+                   eq_tol: float = EQ_TOL) -> list[InequalityReport]:
+    """Evaluate one bound on a sequence of data points sharing n and c.
+
+    The bound is checked first, so an inadmissible one costs no delta.
+    The deltas come from one :func:`~lagdelta.delta.delta_invariant_batch`
+    call per chunk of at most ``MAX_BATCH_ELEMENTS // (restarts * n**4)``
+    points.  An unconverged optimizer propagates as a flagged report,
+    never a silent failure.
     """
-    _check_bound(data, variant, tup)
-    delta, _, diagnostics = delta_invariant(gauss_curvature(data), tup, opts)
-    return bound_report(data, variant, tup, delta, eq_tol, diagnostics)
+    datas = list(datas)
+    if not datas:
+        raise ValueError("evaluate_batch needs at least one data point")
+    if len({(d.n, d.c) for d in datas}) > 1:
+        raise ValueError("evaluate_batch needs data points of one n and c")
+    _check_bound(datas[0], variant, tup)
+    opts = opts or OptimizerOptions()
+    rows = max(1, MAX_BATCH_ELEMENTS // (opts.restarts * tup.n ** 4))
+    reports = []
+    for lo in range(0, len(datas), rows):
+        chunk = datas[lo:lo + rows]
+        comps = gauss_components(np.stack([d.h for d in chunk]), chunk[0].c)
+        deltas, _, diags = delta_invariant_batch(comps, tup, opts)
+        reports += [bound_report(d, variant, tup, float(v), eq_tol, g)
+                    for d, v, g in zip(chunk, deltas, diags)]
+    return reports
 
 
 def bound_report(data: LagrangianPointData, variant: InequalityVariant,

@@ -39,6 +39,15 @@ class TestVerify:
         assert captured.err.startswith("error: --samples")
         assert captured.out == ""  # no claim was run
 
+    @pytest.mark.parametrize("example", ["thm-9.2", "exotic-s3", "graph-8.2"])
+    def test_samples_above_limit_exits_2(self, capsys, example):
+        assert main(["verify", example, "--samples",
+                     "1000000000000000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --samples must be in 1..")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
     def test_json_report_written(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         assert main(["verify", "exotic-s3", "--samples", "5",
@@ -311,6 +320,16 @@ class TestAudit:
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and "budget" in captured.err
         assert captured.out == ""  # rejected before any sweep ran
+
+    @pytest.mark.parametrize("extra", [[], ["--variants", "old"]])
+    def test_curvature_stack_over_budget_exits_2(self, capsys, extra):
+        # no optimizer runs at n = 3, but the curvature stack is still built
+        assert main(["audit", "--n", "3", "--count", "1000000000000000"]
+                    + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: count * n**4 = ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
 
     def test_closed_form_dimension_skips_budget(self, capsys):
         # every tuple at n = 3 is (n-1): no optimizer runs, no budget applies

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from lagdelta import gallery
+from lagdelta import gallery, inequalities
 from lagdelta.delta import OptimizerOptions
 from lagdelta.gallery import example_names, mesh_export, run_example
-from lagdelta.immersions import induced_data_flat, induced_data_horizontal
+from lagdelta.immersions import induced_data
 from lagdelta.inequalities import evaluate
 
 
@@ -19,16 +19,16 @@ def test_samples_below_one_rejected(name, samples):
 
 
 def count_batches(monkeypatch) -> list:
-    """Record the stack size of every delta_invariant_batch call the
-    gallery makes."""
+    """Record the stack size of every delta_invariant_batch call that
+    evaluate_batch makes."""
     sizes = []
-    batch = gallery.delta_invariant_batch
+    batch = inequalities.delta_invariant_batch
 
     def counted(components, tup, opts=None):
         sizes.append(len(components))
         return batch(components, tup, opts)
 
-    monkeypatch.setattr(gallery, "delta_invariant_batch", counted)
+    monkeypatch.setattr(inequalities, "delta_invariant_batch", counted)
     return sizes
 
 
@@ -51,14 +51,13 @@ def test_family_checks_are_one_batch(monkeypatch, name):
     ("exotic-s3", 0), ("thm-9.2", 0), ("thm-9.3", 0)])
 def test_mesh_slack_matches_evaluate(name, seed):
     chart, variant, tup = gallery._mesh_chart_and_bound(name)
-    extract = (induced_data_flat if chart.ambient == "flat"
-               else induced_data_horizontal)
     opts = OptimizerOptions(restarts=6, seed=seed)
     _, rows = mesh_export(name, 25, seed)
     pts = gallery._mesh_rows(chart, 25, seed)
     for x, row in zip(pts, rows):
         assert row[:len(x)] == list(x)
-        slack = evaluate(extract(chart, x).data, variant, tup, opts).slack
+        slack = evaluate(induced_data(chart, x).data, variant, tup,
+                         opts).slack
         if tup.parts == (tup.n - 1,):
             assert row[-1] == slack  # closed form: batching changes no bit
         else:
@@ -69,7 +68,7 @@ def test_chunked_export_agrees(monkeypatch):
     _, whole = mesh_export("graph-8.2", 25, seed=0)
     sizes = count_batches(monkeypatch)
     # room for 10 rows of 6 restarts at n = 5
-    monkeypatch.setattr(gallery, "MAX_BATCH_ELEMENTS", 10 * 6 * 5 ** 4)
+    monkeypatch.setattr(inequalities, "MAX_BATCH_ELEMENTS", 10 * 6 * 5 ** 4)
     _, rows = mesh_export("graph-8.2", 25, seed=0)
     assert sizes == [10, 10, 5]
     assert len(rows) == 25

@@ -9,8 +9,7 @@ from lagdelta.immersions import (ImmersionChart, clifford_legendrian,
                                  equality_graph_function,
                                  exotic_s3_horizontal_chart,
                                  flat_equality_chart, graph_immersion,
-                                 horizontality_residual, induced_data_flat,
-                                 induced_data_horizontal,
+                                 horizontality_residual, induced_data,
                                  intrinsic_curvature_fd, lagrangian_residual,
                                  legendrian_minimality_residual)
 
@@ -23,18 +22,18 @@ def graph_chart(lam=1.0):
 class TestGraphImmersion:
     def test_zero_potential_is_flat_plane(self):
         chart = graph_immersion(lambda x: np.zeros(3), 3)
-        res = induced_data_flat(chart, np.array([0.2, -0.1, 0.0]))
+        res = induced_data(chart, np.array([0.2, -0.1, 0.0]))
         assert np.abs(res.data.h).max() < 1e-10
 
     def test_quadratic_potential_has_zero_form_everywhere(self):
         A = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, -0.3], [0.0, -0.3, 0.7]])
         chart = graph_immersion(lambda x: A @ x, 3)
         for x in (np.zeros(3), np.array([0.3, 0.1, -0.2])):
-            res = induced_data_flat(chart, x)
+            res = induced_data(chart, x)
             assert np.abs(res.data.h).max() < 1e-8
 
     def test_equality_graph_coefficients_at_zero(self):
-        res = induced_data_flat(graph_chart(), np.zeros(5))
+        res = induced_data(graph_chart(), np.zeros(5))
         h = res.data.h
         assert h[0, 0, 2] == pytest.approx(0.75, abs=1e-6)
         assert h[1, 1, 2] == pytest.approx(0.75, abs=1e-6)
@@ -53,15 +52,15 @@ class TestGraphImmersion:
         assert worst < 1e-8
 
     def test_extraction_symmetry_reported(self):
-        res = induced_data_flat(graph_chart(), 0.1 * np.ones(5))
+        res = induced_data(graph_chart(), 0.1 * np.ones(5))
         assert res.symmetry_deviation < 1e-5
 
     def test_step_halving_stability(self):
         chart = graph_chart()
         x = 0.07 * np.ones(5)
-        coarse = induced_data_flat(chart, x).data.h
+        coarse = induced_data(chart, x).data.h
         chart.step = chart.step / 2
-        fine = induced_data_flat(chart, x).data.h
+        fine = induced_data(chart, x).data.h
         # analytic-gradient path: both are near exact; agree far below the
         # documented 1e-6 truncation estimate
         assert np.abs(coarse - fine).max() < 1e-5
@@ -69,7 +68,7 @@ class TestGraphImmersion:
     def test_gauss_path_consistency(self):
         chart = graph_chart()
         for x in (0.05 * np.ones(5), np.array([0.1, -0.05, 0.02, 0.0, 0.08])):
-            data = induced_data_flat(chart, x).data
+            data = induced_data(chart, x).data
             Rg = gauss_curvature(data)
             Ri = intrinsic_curvature_fd(chart, x)
             assert np.abs(Rg.components - Ri.components).max() < 1e-4
@@ -77,7 +76,7 @@ class TestGraphImmersion:
     def test_domain_margin_enforced(self):
         chart = graph_chart()
         with pytest.raises(ChartDomainError):
-            induced_data_flat(chart, np.array([1.0, 0, 0, 0, 0]))
+            induced_data(chart, np.array([1.0, 0, 0, 0, 0]))
 
 
 class TestCliffordLegendrian:
@@ -114,7 +113,7 @@ class TestHorizontalExtraction:
 
         chart = ImmersionChart(2, "sphere", evaluator,
                                np.array([[-0.4, 0.4]] * 2), step=1e-4)
-        res = induced_data_horizontal(chart, np.array([0.1, -0.2]))
+        res = induced_data(chart, np.array([0.1, -0.2]))
         assert np.abs(res.data.h).max() < 1e-6
         tau = tau_from_cubic(res.data)
         assert tau == pytest.approx(1.0, abs=1e-6)  # n(n-1)/2 at n=2
@@ -127,19 +126,49 @@ class TestHorizontalExtraction:
         chart = ImmersionChart(1, "sphere", evaluator,
                                np.array([[-1.0, 1.0]]), step=1e-4)
         with pytest.raises(HorizontalityError):
-            induced_data_horizontal(chart, np.array([0.2]))
+            induced_data(chart, np.array([0.2]))
 
     def test_exotic_horizontal_cross_path(self):
         chart = exotic_s3_horizontal_chart()
         rng = np.random.default_rng(3)
         for _ in range(10):
             u = rng.uniform(-0.3, 0.3, 3)
-            res = induced_data_horizontal(chart, u)
+            res = induced_data(chart, u)
             assert tau_from_cubic(res.data) == pytest.approx(1 / 3, abs=1e-4)
             _, h2 = mean_curvature(res.data.h)
             assert h2 < 1e-8
             delta = oracle_delta_dim3(gauss_curvature(res.data))
             assert delta == pytest.approx(2.0, abs=1e-4)
+
+
+class TestExtractionCost:
+    @staticmethod
+    def counted(chart):
+        calls = []
+        evaluator = chart.evaluator
+
+        def wrapped(x):
+            calls.append(1)
+            return evaluator(x)
+
+        chart.evaluator = wrapped
+        return calls
+
+    def test_horizontal_chart_differentiated_once(self):
+        # 2n^2 + 2n + 2 at n = 3: the point, the Jacobian, the Hessian
+        chart = exotic_s3_horizontal_chart()
+        calls = self.counted(chart)
+        res = induced_data(chart, np.array([0.1, -0.05, 0.2]))
+        assert len(calls) == 26
+        assert res.data.c == 1.0 and res.horizontality_residual < 1e-6
+
+    def test_flat_chart_call_count(self):
+        # 2n^2 + 1 for the Hessian and 2n for the Jacobian at n = 5
+        chart = graph_chart()
+        calls = self.counted(chart)
+        res = induced_data(chart, 0.1 * np.ones(5))
+        assert len(calls) == 61
+        assert res.data.c == 0.0 and res.horizontality_residual is None
 
 
 class TestFlatFamily:
@@ -158,7 +187,7 @@ class TestFlatFamily:
         for _ in range(12):
             x = rng.uniform(lo + 0.05, hi - 0.05)
             assert lagrangian_residual(chart, x) < 1e-8
-            data = induced_data_flat(chart, x).data
+            data = induced_data(chart, x).data
             _, h2 = mean_curvature(data.h)
             assert h2 > 1e-6
             delta = oracle_delta_dim3(gauss_curvature(data))
@@ -167,5 +196,5 @@ class TestFlatFamily:
     def test_scalar_tau_is_finite_sanity(self):
         chart = flat_equality_chart(3, 2.0, clifford_legendrian(3))
         x = np.array([0.5 * chart.domain[0].sum(), 0.2, -0.1])
-        data = induced_data_flat(chart, x).data
+        data = induced_data(chart, x).data
         assert np.isfinite(scalar_tau(gauss_curvature(data)))

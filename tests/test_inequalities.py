@@ -10,7 +10,8 @@ from lagdelta.inequalities import (InequalityVariant as V,
                                    _equality_projection, admissible_variants,
                                    bound_report, coefficients,
                                    detect_equality_structure, evaluate,
-                                   select_improved, soundness_audit,
+                                   evaluate_batch, select_improved,
+                                   soundness_audit,
                                    synthesize_equality_data)
 
 from test_cubic import berger_form, graph_equality_form
@@ -170,7 +171,7 @@ class TestEvaluate:
         def no_delta(*args):
             raise AssertionError("delta computed for a refused bound")
 
-        monkeypatch.setattr(ineq, "delta_invariant", no_delta)
+        monkeypatch.setattr(ineq, "delta_invariant_batch", no_delta)
         data = LagrangianPointData(5, 0.0, graph_equality_form())
         with pytest.raises(Inadmissible, match="does not match"):
             evaluate(data, V.OLD, DeltaTuple(4, (2,)), FAST)
@@ -179,6 +180,17 @@ class TestEvaluate:
         data = LagrangianPointData(3, 1.0, berger_form())
         with pytest.raises(Inadmissible):
             evaluate(data, V.HYPERPLANE_FLAT, DeltaTuple(3, (2,)))
+
+    def test_batch_refuses_empty(self):
+        with pytest.raises(ValueError, match="at least one"):
+            evaluate_batch([], V.OLD, DeltaTuple(4, (2,)))
+
+    @pytest.mark.parametrize("n,c", [(5, 0.0), (4, 1.0)])
+    def test_batch_refuses_mixed_points(self, n, c):
+        datas = [LagrangianPointData(4, 0.0, np.zeros((4,) * 3)),
+                 LagrangianPointData(n, c, np.zeros((n,) * 3))]
+        with pytest.raises(ValueError, match="one n and c"):
+            evaluate_batch(datas, V.OLD, DeltaTuple(4, (2,)))
 
 
 class TestSynthesisRoundTrips:

@@ -6,8 +6,8 @@ from lagdelta.delta import oracle_delta_dim3
 from lagdelta.exceptions import ChartDomainError
 from lagdelta.immersions import (OdeState, Trajectory, clifford_legendrian,
                                  cp_equality_chart, horizontality_residual,
-                                 induced_data_horizontal,
-                                 ode_family_integrate, trajectory_residuals)
+                                 induced_data, ode_family_integrate,
+                                 trajectory_residuals)
 
 INIT = OdeState(0.0, 0.0, 1.0, 0.0)
 
@@ -87,7 +87,7 @@ class TestCpFamilyChart:
         for _ in range(20):
             x = np.array([rng.uniform(0.05, 0.45), rng.uniform(-1, 1),
                           rng.uniform(-1, 1)])
-            data = induced_data_horizontal(chart, x).data
+            data = induced_data(chart, x).data
             _, h2 = mean_curvature(data.h)
             delta = oracle_delta_dim3(gauss_curvature(data))
             rhs = (3 - 1) * (3 * h2 + 4) / 4
