@@ -22,7 +22,8 @@ from .delta import (MAX_BATCH_ELEMENTS, MAX_GRID_RESOLUTION, DeltaTuple,
                     enumerate_tuples, oracle_delta_dim3, oracle_delta_grid)
 from .exceptions import Inadmissible
 from .frames import scalar_tau
-from .gallery import example_names, example_point_data, run_example
+from .gallery import (example_names, example_point_data, run_example,
+                      verify_with_mesh)
 from .inequalities import (EQ_TOL, InequalityVariant, admissible_variants,
                            bound_report, coefficients, select_improved,
                            soundness_audit)
@@ -145,7 +146,12 @@ def _check_budget(count: int, n: int, restarts: int = 1):
 
 
 def _cmd_verify(args) -> int:
-    claims = run_example(args.example, samples=args.samples, seed=args.seed)
+    if args.mesh_out:  # one pass for the claims and the mesh rows
+        claims, (header, rows) = verify_with_mesh(
+            args.example, samples=args.samples, seed=args.seed)
+    else:
+        claims = run_example(args.example, samples=args.samples,
+                             seed=args.seed)
     all_ok = all(c.passed for c in claims)
     for c in claims:
         status = "pass" if c.passed else "FAIL"
@@ -168,10 +174,6 @@ def _cmd_verify(args) -> int:
     if args.out:
         _emit(text, args.out)
     if args.mesh_out:
-        from .gallery import mesh_export
-        header, rows = mesh_export(args.example,
-                                   samples=args.samples or 25,
-                                   seed=args.seed)
         lines = [",".join(header)]
         lines += [",".join(_format_float(v) for v in row) for row in rows]
         _emit("\n".join(lines), args.mesh_out)

@@ -166,9 +166,13 @@ _STALL_ITERS = 20
 _ASSIGNMENT_ROUNDS = 2  # polish-and-descend rounds after the restarts
 _CHUNK_ENTRIES = 2_000_000  # per block of the grid GEMM and assignment gather
 
-# Element budget of one optimizer run: its largest array, the per-pair
-# gradient scratch, holds at most samples * restarts * n**4 / 2 floats, so
-# the budget keeps it under 200 MB.
+# Element budget of one optimizer run, samples * restarts * n**4.  Its
+# largest arrays are the gradient's terms, 2 n(n-1) P floats per frame for
+# P block pairs, and their M w factors, n(n-1) P: together at most
+# 0.88 n**4 floats per frame for n <= 12, 350 MB at the budget.  A batch of
+# several samples adds one (p, p) operator per frame, under n**4 / 4.
+# Measured peak RSS at the budget, n = 12, tuple (2, 10), two iterations:
+# 465 MB for 1 sample of 2411 restarts, 659 MB for 401 samples of 6.
 MAX_BATCH_ELEMENTS = 50_000_000
 
 
@@ -219,89 +223,110 @@ class _PairSet:
     ``pairs`` lists the P frame-column pairs (a, b) that lie in a common
     block; the objective sums their plane curvatures.  Array layouts: frames
     Q are ``(B, n, n)``; the pair curvature operator M is ``(B, p, p)``, one
-    per frame (a ``(p, p)`` M broadcasts over the batch), with p = n(n-1)/2
-    the lexicographic pair basis of ``frames.pair_basis``; the wedge
-    coordinates w of the column pairs are ``(B, p, P)``.  Every contraction
-    is a (batched) ``matmul``.  The grid oracle does not use this class.
+    per frame, or one ``(p, p)`` for the whole batch, with p = n(n-1)/2 the
+    lexicographic pair basis ``(I, J)`` of ``frames.pair_basis``; the wedge
+    coordinates w of the column pairs are ``(B, p, P)``.  The grid oracle
+    does not use this class.
     """
 
     def __init__(self, n: int, pairs):
         self.n = n
         self.pairs = list(pairs)
         self.I, self.J = pair_basis(n)
-        self.a = np.array([p[0] for p in pairs])
-        self.b = np.array([p[1] for p in pairs])
-        P = len(pairs)
-        self.Ea = np.zeros((P, n))
-        self.Eb = np.zeros((P, n))
-        self.Ea[np.arange(P), self.a] = 1.0
-        self.Eb[np.arange(P), self.b] = 1.0
-
-    def _wedge(self, U: np.ndarray, V: np.ndarray) -> np.ndarray:
-        """Wedge coordinates (B, p, P) of the column pairs u_k ^ v_k."""
-        return (U[:, self.I, :] * V[:, self.J, :]
-                - U[:, self.J, :] * V[:, self.I, :])
+        self.a = np.array([q[0] for q in pairs], dtype=np.intp)
+        self.b = np.array([q[1] for q in pairs], dtype=np.intp)
+        P = len(self.pairs)
+        # The gradient multiplies block pair k's antisymmetric W_k,
+        # W_k[i, j] = (M w_k)_ij for i < j, into u_k and v_k.  Row i of W_k
+        # holds, for each j != i in turn, M w_k at pair-basis index
+        # _entry_pair[i, 0, j], and meets row _entry_rows[i, 0, 0, j] of Q
+        # stacked over -Q: the negated copy carries the sign where j < i.
+        pair_index = np.zeros((n, n), dtype=np.intp)
+        pair_index[self.I, self.J] = pair_index[self.J, self.I] = np.arange(
+            len(self.I))
+        i, j = np.nonzero(~np.eye(n, dtype=bool))
+        self._entry_pair = pair_index[i, j].reshape(n, 1, n - 1)
+        self._entry_rows = np.where(j < i, j + n, j).reshape(n, 1, 1, n - 1)
+        self._vu = np.concatenate((self.b, self.a)).reshape(1, 2, P, 1)
+        self._k = np.arange(P).reshape(1, P, 1)
+        # +2 W_k v_k into column a_k of the gradient, -2 W_k u_k into b_k
+        ends = np.zeros((2, P, n))
+        ends[0, np.arange(P), self.a] = 2.0
+        ends[1, np.arange(P), self.b] = -2.0
+        self._ends = ends.reshape(2 * P, n)
 
     def bivectors(self, Q: np.ndarray) -> np.ndarray:
         """Wedge coordinates of each block pair: (B, p, P)."""
-        return self._wedge(Q[:, :, self.a], Q[:, :, self.b])
+        U, V = Q[:, :, self.a], Q[:, :, self.b]
+        return U[:, self.I] * V[:, self.J] - U[:, self.J] * V[:, self.I]
 
-    def objective(self, Q: np.ndarray, M: np.ndarray) -> np.ndarray:
-        """Sum of pair curvatures; Q (B, n, n), M (B, p, p) or (p, p)."""
+    def evaluate(self, Q: np.ndarray, M: np.ndarray):
+        """Objective (B,) and M w (B, p, P) of frames Q (B, n, n)."""
         w = self.bivectors(Q)
-        return (w * (M @ w)).sum(axis=(1, 2))
-
-    def objective_grad(self, Q: np.ndarray, M: np.ndarray):
-        """Objective (B,) and its Euclidean gradient in Q (B, n, n)."""
-        B, n = Q.shape[:2]
-        U = Q[:, :, self.a]
-        V = Q[:, :, self.b]
-        w = self._wedge(U, V)
         Mw = M @ w
-        f = (w * Mw).sum(axis=(1, 2))
-        # per pair the antisymmetric W with W[i, j] = (Mw)_{ij}, i < j
-        MwT = np.swapaxes(Mw, 1, 2)
-        W = np.zeros((B, len(self.pairs), n, n))
-        W[:, :, self.I, self.J] = MwT
-        W[:, :, self.J, self.I] = -MwT
-        WVU = W @ np.swapaxes(np.stack((V, U), axis=-1), 1, 2)  # (B, P, n, 2)
-        G = 2.0 * (np.swapaxes(WVU[..., 0], 1, 2) @ self.Ea
-                   - np.swapaxes(WVU[..., 1], 1, 2) @ self.Eb)
-        return f, G
+        return (w * Mw).sum(axis=(1, 2)), Mw
+
+    def gradient(self, Q: np.ndarray, Mw: np.ndarray) -> np.ndarray:
+        """Euclidean gradient (B, n, n) of the objective in Q, from the
+        M w (B, p, P) that ``evaluate`` returned for Q.
+
+        Column a_k gains 2 W_k v_k and column b_k loses 2 W_k u_k, for
+        u_k, v_k columns a_k, b_k of Q.  Each product sums the nonzero
+        entries of W_k row by row: 2 n(n-1) P terms per frame.
+        """
+        B, n = Q.shape[:2]
+        terms = np.concatenate((Q, -Q), axis=1)[:, self._entry_rows, self._vu]
+        Wvu = np.einsum("bihkj,bikj->bihk", terms,
+                        Mw[:, self._entry_pair, self._k])
+        return Wvu.reshape(B, n, -1) @ self._ends
+
+
+def _armijo_trial(ps: _PairSet, eye, Q, A, M, step, f, g2):
+    """Cayley steps of sizes ``step`` against the Riemannian gradients
+    Q A: the trial frames, their objective and M w, and which pass
+    Armijo's sufficient-decrease test."""
+    X = 0.5 * step[:, None, None] * A
+    Qt = Q @ np.linalg.solve(eye + X, eye - X)
+    ft, Mwt = ps.evaluate(Qt, M)
+    return Qt, ft, Mwt, ft <= f - 1e-4 * step * g2
 
 
 def _descend(Q0, M0, ps: _PairSet, opts: OptimizerOptions):
     """Riemannian descent on SO(n): Cayley retraction, per-config Armijo steps.
 
     Works on a flat batch ``Q0 (B, n, n)`` with per-config operators
-    ``M0 (B, p, p)``; converged or stalled configurations are retired from
-    the working set so laggards do not keep the whole batch running.
+    ``M0 (B, p, p)``, or one ``(p, p)`` operator shared by the whole batch;
+    converged or stalled configurations are retired from the working set so
+    laggards do not keep the whole batch running.  A frame's objective and
+    M w are computed once, at the start or by the line-search trial that
+    accepts the frame, and its gradient is built from them.
     """
     B, n = Q0.shape[0], Q0.shape[1]
     eye = np.eye(n)
-    out_Q = Q0.copy()
-    out_f = ps.objective(Q0, M0)
+    shared = M0.ndim == 2
+    M = M0
+    Q = Q0.copy()
+    f, Mw = ps.evaluate(Q, M)
+    out_Q, out_f = Q0.copy(), f.copy()
     out_conv = np.zeros(B, dtype=bool)
 
     idx = np.arange(B)
-    Q = Q0.copy()
-    M = M0
     step = np.full(B, 0.2)
     dead = np.zeros(B, dtype=bool)
-    scale = 1.0 + np.abs(out_f)
-    snap = out_f.copy()
+    scale = 1.0 + np.abs(f)
+    gtol2 = (_GTOL * scale) ** 2
+    snap = f.copy()
     iterations = 0
 
     for it in range(opts.max_iters):
         if idx.size == 0:
             break
         iterations = it + 1
-        f, G = ps.objective_grad(Q, M)
-        QtG = np.swapaxes(Q, -1, -2) @ G
+        QtG = np.swapaxes(Q, -1, -2) @ ps.gradient(Q, Mw)
         A = 0.5 * (QtG - np.swapaxes(QtG, -1, -2))
         g2 = np.einsum("bij,bij->b", A, A)
 
-        finished = (g2 <= (_GTOL * scale) ** 2) | dead
+        finished = (g2 <= gtol2) | dead
         window_end = (it % _STALL_ITERS) == _STALL_ITERS - 1
         if window_end:
             finished |= (snap - f) < _STALL_TOL * scale
@@ -311,36 +336,43 @@ def _descend(Q0, M0, ps: _PairSet, opts: OptimizerOptions):
             out_f[idx[sel]] = f[sel]
             out_conv[idx[sel]] = True
             keep = ~finished
-            idx, f, g2, step, dead, scale, snap = (
-                x[keep] for x in (idx, f, g2, step, dead, scale, snap))
-            Q, G, A, M = Q[keep], G[keep], A[keep], M[keep]
+            idx, f, g2, step, dead, scale, gtol2, snap, Q, A, Mw = (
+                x[keep] for x in (idx, f, g2, step, dead, scale, gtol2, snap,
+                                  Q, A, Mw))
+            M = M if shared else M[keep]
             if idx.size == 0:
                 break
         if window_end:
             snap = f.copy()
 
+        # Armijo backtracking: the first trial takes the whole working set,
+        # and becomes it when every frame accepts; rejected frames halve
+        # their steps and retry
+        Qt, ft, Mwt, ok = _armijo_trial(ps, eye, Q, A, M, step, f, g2)
+        if ok.all():
+            Q, f, Mw = Qt, ft, Mwt
+            step = np.minimum(step * 1.4, 1.0)
+            continue
         accepted = np.zeros(idx.size, dtype=bool)
         sub = np.arange(idx.size)
-        for _ in range(40):
-            if sub.size == 0:
-                break
-            X = 0.5 * step[sub, None, None] * A[sub]
-            C = np.linalg.solve(eye + X, eye - X)
-            Qt = Q[sub] @ C
-            ft = ps.objective(Qt, M[sub])
-            ok = ft <= f[sub] - 1e-4 * step[sub] * g2[sub]
+        for trial in range(40):
+            if trial:
+                Qt, ft, Mwt, ok = _armijo_trial(
+                    ps, eye, Q[sub], A[sub], M if shared else M[sub],
+                    step[sub], f[sub], g2[sub])
             good = sub[ok]
-            Q[good] = Qt[ok]
+            Q[good], f[good], Mw[good] = Qt[ok], ft[ok], Mwt[ok]
             accepted[good] = True
             bad = sub[~ok]
             step[bad] *= 0.5
             give_up = step[bad] < 1e-14
             dead[bad[give_up]] = True  # no acceptable step: retire next sweep
             sub = bad[~give_up]
+            if sub.size == 0:
+                break
         step[accepted] = np.minimum(step[accepted] * 1.4, 1.0)
 
     if idx.size:  # hit max_iters: report honestly as unconverged
-        f = ps.objective(Q, M)
         out_Q[idx] = Q
         out_f[idx] = f
         out_conv[idx] = False
@@ -438,7 +470,8 @@ def _minimize_batch(components: np.ndarray, tup: DeltaTuple,
     ps = _PairSet(n, _within_block_pairs(tup.parts))
     restarts = opts.restarts
     Q0 = _initial_frames(components, restarts, opts.seed)
-    Mflat = np.repeat(M, restarts, axis=0)  # flat order is sample-major
+    # one sample's restarts share its operator; flat order is sample-major
+    Mflat = M[0] if S == 1 else np.repeat(M, restarts, axis=0)
     Qf, ff, convf, iterations = _descend(
         Q0.reshape(S * restarts, n, n), Mflat, ps, opts)
     Q = Qf.reshape(S, restarts, n, n)

@@ -24,7 +24,7 @@ from .immersions import (OdeState, clifford_legendrian, cp_equality_chart,
 from .inequalities import InequalityVariant, evaluate, evaluate_batch
 
 __all__ = ["Claim", "GALLERY", "run_example", "example_names",
-           "example_point_data", "mesh_export"]
+           "example_point_data", "mesh_export", "verify_with_mesh"]
 
 
 @dataclass
@@ -64,27 +64,57 @@ def _mesh_rows(chart, samples, seed):
     return rng.uniform(lo + pad, hi - pad, size=(samples, chart.n))
 
 
+class _Pass:
+    """What one run of the gallery builds, each item once: charts,
+    profiles and the point data of chart points.
+
+    ``verify_with_mesh`` runs an example's claims and its mesh export in
+    one pass.  Rows are drawn row by row, so a sample set is a prefix of
+    every larger one of the same chart and seed: the 25 mesh points of
+    thm-9.2 are the first of its 50 claim points.
+    """
+
+    def __init__(self):
+        self._built = {}
+
+    def get(self, key, build):
+        if key not in self._built:
+            self._built[key] = build()
+        return self._built[key]
+
+    def extract(self, chart, x):
+        """``induced_data(chart, x)`` for a chart this pass built."""
+        return self.get((id(chart), x.tobytes()),
+                        lambda: induced_data(chart, x))
+
+
 def _graph_chart(domain=None):
     """The gradient graph whose data at 0 attains the improved bound."""
     return graph_immersion(equality_graph_function(DeltaTuple(5, (2,)), 1.0),
                            5, domain=domain, name="graph-8.2")
 
 
-def _flat_chart():
-    return flat_equality_chart(_FAMILY_N, _FLAT_B,
-                               clifford_legendrian(_FAMILY_N))
+def _legendrian(run: _Pass):
+    return run.get("legendrian", lambda: clifford_legendrian(_FAMILY_N))
 
 
-def _cp_profile(step: float):
-    return ode_family_integrate(_FAMILY_N, OdeState(0.0, 0.0, 1.0, 0.0),
-                                (0.0, 0.5), step)
+def _flat_chart(run: _Pass):
+    return run.get("thm-9.2", lambda: flat_equality_chart(
+        _FAMILY_N, _FLAT_B, _legendrian(run)))
 
 
-def _cp_chart(traj):
-    return cp_equality_chart(traj.n, traj, clifford_legendrian(traj.n))
+def _cp_profile(run: _Pass, step: float):
+    return run.get(("profile", step), lambda: ode_family_integrate(
+        _FAMILY_N, OdeState(0.0, 0.0, 1.0, 0.0), (0.0, 0.5), step))
 
 
-def verify_exotic_s3(samples: int = 100, seed: int = 0) -> list[Claim]:
+def _cp_chart(run: _Pass):
+    return run.get("thm-9.3", lambda: cp_equality_chart(
+        _FAMILY_N, _cp_profile(run, _CP_STEP), _legendrian(run)))
+
+
+def verify_exotic_s3(samples: int = 100, seed: int = 0,
+                     run: _Pass | None = None) -> list[Claim]:
     """Berger-sphere example: constant tau = 1/3, minimal, delta(2) = 2,
     equality in the first bound (rhs = 2 at c = 1, n = 3), horizontal
     cross-path, and the three compatibility conditions.  The field's data
@@ -94,7 +124,7 @@ def verify_exotic_s3(samples: int = 100, seed: int = 0) -> list[Claim]:
     rep = evaluate(data, InequalityVariant.FIRST, DeltaTuple(3, (2,)))
     comp = compatibility_report(fld)
 
-    chart = exotic_s3_horizontal_chart()
+    chart = (run or _Pass()).get("exotic-s3", exotic_s3_horizontal_chart)
     worst_cross = worst_horiz = 0.0
     for u in _mesh_rows(chart, samples, seed + 1):
         ex = induced_data(chart, u)
@@ -116,7 +146,8 @@ def verify_exotic_s3(samples: int = 100, seed: int = 0) -> list[Claim]:
     ]
 
 
-def verify_graph_equality(samples: int = 1, seed: int = 0) -> list[Claim]:
+def verify_graph_equality(samples: int = 1, seed: int = 0,
+                          run: _Pass | None = None) -> list[Claim]:
     """Gradient-graph equality point: extracted cubic coefficients match
     the analytic third derivatives, H^2 = 1.69, delta(2) = 11.375, and the
     improved bound is attained with nonzero mean curvature."""
@@ -152,13 +183,15 @@ def verify_graph_equality(samples: int = 1, seed: int = 0) -> list[Claim]:
     return claims
 
 
-def verify_flat_family(samples: int = 50, seed: int = 0) -> list[Claim]:
+def verify_flat_family(samples: int = 50, seed: int = 0,
+                       run: _Pass | None = None) -> list[Claim]:
     """Flat hyperplane-tuple family: Lagrangian, non-minimal, and the
     c = 0 bound delta(n-1) <= n(n-1) H^2 / 4 is attained."""
-    chart = _flat_chart()
+    run = run or _Pass()
+    chart = _flat_chart(run)
     pts = _mesh_rows(chart, samples, seed)
     worst_omega = max(lagrangian_residual(chart, x) for x in pts)
-    reports = evaluate_batch([induced_data(chart, x).data for x in pts],
+    reports = evaluate_batch([run.extract(chart, x).data for x in pts],
                              InequalityVariant.HYPERPLANE_FLAT, _FAMILY_TUPLE)
     min_h2 = min(rep.h2 for rep in reports)
     worst_slack = max(abs(rep.slack) for rep in reports)
@@ -169,19 +202,20 @@ def verify_flat_family(samples: int = 50, seed: int = 0) -> list[Claim]:
     ]
 
 
-def verify_cp_family(samples: int = 20, seed: int = 0) -> list[Claim]:
+def verify_cp_family(samples: int = 20, seed: int = 0,
+                     run: _Pass | None = None) -> list[Claim]:
     """Projective hyperplane-tuple family over the profile ODE: integrator
     residuals, unit-norm and horizontality of the chart, and equality of
     delta(n-1) <= (n-1)(n H^2 + 4)/4."""
-    traj = _cp_profile(_CP_STEP)
-    resid = float(trajectory_residuals(traj).max())
-    ratio = (trajectory_residuals(_cp_profile(8e-3)).max()
-             / trajectory_residuals(_cp_profile(4e-3)).max())
+    run = run or _Pass()
+    resid = float(trajectory_residuals(_cp_profile(run, _CP_STEP)).max())
+    ratio = (trajectory_residuals(_cp_profile(run, 8e-3)).max()
+             / trajectory_residuals(_cp_profile(run, 4e-3)).max())
 
-    chart = _cp_chart(traj)
+    chart = _cp_chart(run)
     pts = _mesh_rows(chart, samples, seed)
     worst_norm = max(abs(np.linalg.norm(chart.eval(x)) - 1.0) for x in pts)
-    extracted = [induced_data(chart, x) for x in pts]
+    extracted = [run.extract(chart, x) for x in pts]
     worst_horiz = max(ex.horizontality_residual for ex in extracted)
     reports = evaluate_batch([ex.data for ex in extracted],
                              InequalityVariant.HYPERPLANE_CP, _FAMILY_TUPLE)
@@ -233,34 +267,36 @@ def example_point_data(name: str):
                        f"use exotic-s3 or graph-8.2")
 
 
-def _mesh_chart_and_bound(name: str):
+def _mesh_chart_and_bound(name: str, run: _Pass | None = None):
     """Chart and bound (variant, tuple) of an example's mesh export."""
     name = _canonical(name)
+    run = run or _Pass()
     if name == "exotic-s3":
-        return (exotic_s3_horizontal_chart(), InequalityVariant.FIRST,
-                DeltaTuple(3, (2,)))
+        return (run.get(name, exotic_s3_horizontal_chart),
+                InequalityVariant.FIRST, DeltaTuple(3, (2,)))
     if name == "graph-8.2":
-        return (_graph_chart(domain=[[-0.3, 0.3]] * 5),
+        return (run.get(name, lambda: _graph_chart(domain=[[-0.3, 0.3]] * 5)),
                 InequalityVariant.IMPROVED, DeltaTuple(5, (2,)))
     if name == "thm-9.2":
-        return (_flat_chart(), InequalityVariant.HYPERPLANE_FLAT,
+        return (_flat_chart(run), InequalityVariant.HYPERPLANE_FLAT,
                 _FAMILY_TUPLE)
-    return (_cp_chart(_cp_profile(_CP_STEP)), InequalityVariant.HYPERPLANE_CP,
-            _FAMILY_TUPLE)
+    return _cp_chart(run), InequalityVariant.HYPERPLANE_CP, _FAMILY_TUPLE
 
 
-def mesh_export(name: str, samples: int = 25, seed: int = 0):
+def mesh_export(name: str, samples: int = 25, seed: int = 0,
+                run: _Pass | None = None):
     """Sampled rows for CSV export: chart point, ambient point, tau, H^2,
     and the example's bound slack.  Returns (header, rows)."""
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    chart, variant, tup = _mesh_chart_and_bound(name)
+    run = run or _Pass()
+    chart, variant, tup = _mesh_chart_and_bound(name, run)
     pts = _mesh_rows(chart, samples, seed)
     ambient_dim = len(chart.eval(pts[0]))
     header = ([f"x{i}" for i in range(chart.n)]
               + [f"L{k}_{p}" for k in range(ambient_dim) for p in ("re", "im")]
               + ["tau", "h2", f"slack_{variant.value}"])
-    datas = [induced_data(chart, x).data for x in pts]
+    datas = [run.extract(chart, x).data for x in pts]
     reports = evaluate_batch(datas, variant, tup,
                              OptimizerOptions(restarts=6, seed=seed))
     rows = []
@@ -272,11 +308,22 @@ def mesh_export(name: str, samples: int = 25, seed: int = 0):
     return header, rows
 
 
-def run_example(name: str, samples: int | None = None,
-                seed: int = 0) -> list[Claim]:
+def run_example(name: str, samples: int | None = None, seed: int = 0,
+                run: _Pass | None = None) -> list[Claim]:
+    """The example's claims; ``run`` is a gallery pass whose charts,
+    profiles and extracted points they share (``verify_with_mesh``)."""
     fn = GALLERY[_canonical(name)]  # ValueError for an unknown name
     if samples is None:
-        return fn(seed=seed)
+        return fn(seed=seed, run=run)
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    return fn(samples=samples, seed=seed)
+    return fn(samples=samples, seed=seed, run=run)
+
+
+def verify_with_mesh(name: str, samples: int | None = None, seed: int = 0):
+    """``run_example`` and ``mesh_export`` (``samples`` rows, 25 by
+    default) in one pass: each chart and profile is built once, and each
+    chart point's data extracted once.  Returns (claims, (header, rows))."""
+    run = _Pass()
+    claims = run_example(name, samples, seed, run)
+    return claims, mesh_export(name, samples or 25, seed, run)

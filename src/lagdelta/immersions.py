@@ -10,6 +10,7 @@ which is exact for horizontal immersions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -335,21 +336,25 @@ class OdeState:
             raise ValueError("lambda must be nonzero")
 
 
-def _family_rhs(n: int, y: np.ndarray) -> np.ndarray:
-    theta, lam, mu = y
-    return np.array([
-        -lam / (n + 1),
-        (n - 1) * lam * mu,
-        -1.0 - mu * mu - n * lam * lam / (n + 1) ** 2,
-    ])
+def _family_rhs(n: int, theta, lam, mu) -> tuple:
+    """The profile system's right-hand side, of floats or arrays alike."""
+    return (-lam / (n + 1),
+            (n - 1) * lam * mu,
+            -1.0 - mu * mu - n * lam * lam / (n + 1) ** 2)
 
 
-def _rk4_step(n: int, y: np.ndarray, h: float) -> np.ndarray:
-    k1 = _family_rhs(n, y)
-    k2 = _family_rhs(n, y + 0.5 * h * k1)
-    k3 = _family_rhs(n, y + 0.5 * h * k2)
-    k4 = _family_rhs(n, y + h * k3)
-    return y + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+def _rk4_step(n: int, y: tuple, h: float) -> tuple:
+    """One RK4 step of size h from y = (theta, lam, mu), on Python floats."""
+    t0, l0, m0 = y
+    a1, b1, c1 = _family_rhs(n, t0, l0, m0)
+    a2, b2, c2 = _family_rhs(n, t0 + 0.5 * h * a1, l0 + 0.5 * h * b1,
+                             m0 + 0.5 * h * c1)
+    a3, b3, c3 = _family_rhs(n, t0 + 0.5 * h * a2, l0 + 0.5 * h * b2,
+                             m0 + 0.5 * h * c2)
+    a4, b4, c4 = _family_rhs(n, t0 + h * a3, l0 + h * b3, m0 + h * c3)
+    return (t0 + h / 6.0 * (a1 + 2 * a2 + 2 * a3 + a4),
+            l0 + h / 6.0 * (b1 + 2 * b2 + 2 * b3 + b4),
+            m0 + h / 6.0 * (c1 + 2 * c2 + 2 * c3 + c4))
 
 
 @dataclass
@@ -373,13 +378,13 @@ class Trajectory:
                 f"[{self.t0:.6g}, {self.t_end:.6g}]"
                 + (" (trajectory truncated where lambda crossed 0)"
                    if self.truncated else ""))
-        k = int(np.clip(np.floor((t - self.t0) / self.step), 0,
-                        len(self.states) - 1))
-        y = self.states[k]
+        k = min(max(math.floor((t - self.t0) / self.step), 0),
+                len(self.states) - 1)
+        y = tuple(self.states[k].tolist())
         dt = t - (self.t0 + k * self.step)
         if abs(dt) > 1e-15:
             y = _rk4_step(self.n, y, dt)
-        return OdeState(t, float(y[0]), float(y[1]), float(y[2]))
+        return OdeState(t, *y)
 
 
 def ode_family_integrate(n: int, init: OdeState, t_range, step: float
@@ -397,15 +402,16 @@ def ode_family_integrate(n: int, init: OdeState, t_range, step: float
     if step <= 0 or t1 <= t0:
         raise ValueError("need positive step and t1 > t0")
     nsteps = int(np.ceil((t1 - t0) / step - 1e-12))
-    states = [np.array([init.theta, init.lam, init.mu])]
+    states = [(float(init.theta), float(init.lam), float(init.mu))]
+    positive = states[0][1] > 0
     truncated = False
     for _ in range(nsteps):
-        if np.abs(states[-1]).max() > 1e12:  # profile blow-up guard
+        if max(map(abs, states[-1])) > 1e12:  # profile blow-up guard
             truncated = True
             break
         nxt = _rk4_step(n, states[-1], step)
-        if (not np.all(np.isfinite(nxt)) or nxt[1] == 0
-                or np.sign(nxt[1]) != np.sign(states[0][1])):
+        if (not all(map(math.isfinite, nxt)) or nxt[1] == 0
+                or (nxt[1] > 0) != positive):
             truncated = True
             break
         states.append(nxt)
@@ -423,7 +429,7 @@ def trajectory_residuals(traj: Trajectory) -> np.ndarray:
         raise ValueError("trajectory too short for the five-point stencil")
     h = traj.step
     dy = (-y[4:] + 8 * y[3:-1] - 8 * y[1:-3] + y[:-4]) / (12 * h)
-    rhs = np.stack([_family_rhs(traj.n, yk) for yk in y[2:-2]])
+    rhs = np.stack(_family_rhs(traj.n, *y[2:-2].T), axis=1)
     return np.abs(dy - rhs).max(axis=0)
 
 

@@ -12,8 +12,9 @@ from lagdelta.delta import (DeltaTuple, OptimizerOptions, SubspaceConfig,
                             oracle_delta_dim3, oracle_delta_grid)
 from lagdelta.delta import (MAX_GRID_RESOLUTION, _GRID_AXES, _PairSet,
                             _assignment_minima, _assignment_table,
-                            _givens, _minimize_batch, _random_orthogonal,
-                            _second_compound, _within_block_pairs)
+                            _descend, _givens, _minimize_batch,
+                            _random_orthogonal, _second_compound,
+                            _within_block_pairs)
 from lagdelta.exceptions import Inadmissible
 from lagdelta.frames import (constant_curvature, pair_basis,
                              pair_curvature_operator, rotate_tensor,
@@ -424,12 +425,13 @@ class TestPairSetContractions:
         ref = [config_objective(R, SubspaceConfig(Q[s], blocks))
                for s, R in enumerate(tensors)]
         M = pair_curvature_operator(np.stack([R.components for R in tensors]))
-        np.testing.assert_allclose(ps.objective(Q, M), ref,
-                                   rtol=1e-12, atol=1e-12)
+        f, Mw = ps.evaluate(Q, M)
+        np.testing.assert_allclose(f, ref, rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(Mw, M @ ps.bivectors(Q))
         # one shared (p, p) operator for the whole batch
         shared = [config_objective(tensors[0], SubspaceConfig(q, blocks))
                   for q in Q]
-        np.testing.assert_allclose(ps.objective(Q, M[0]), shared,
+        np.testing.assert_allclose(ps.evaluate(Q, M[0])[0], shared,
                                    rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("n,parts", CASES)
@@ -440,19 +442,71 @@ class TestPairSetContractions:
             [random_tensor(n, rng).components for _ in range(B)]))
         Q = _random_orthogonal(rng, (B,), n)
         ps = _PairSet(n, _within_block_pairs(parts))
-        f, G = ps.objective_grad(Q, M)
-        np.testing.assert_allclose(f, ps.objective(Q, M), rtol=1e-13)
+        f, Mw = ps.evaluate(Q, M)
+        G = ps.gradient(Q, Mw)
+        t = 1e-5
+        # the Euclidean gradient: central differences along any direction
+        E = rng.standard_normal((B, n, n))
+        fd = (ps.evaluate(Q + t * E, M)[0]
+              - ps.evaluate(Q - t * E, M)[0]) / (2 * t)
+        exact = np.einsum("bij,bij->b", G, E)
+        assert np.all(np.abs(fd - exact) <= 1e-6 * (1.0 + np.abs(exact)))
+        # the Riemannian one on SO(n):
+        # d/dt f(Q cayley(tX)) at t = 0 is <Q^T G, X> = <skew(Q^T G), X>
         QtG = np.swapaxes(Q, -1, -2) @ G
         A = 0.5 * (QtG - np.swapaxes(QtG, -1, -2))
         X = rng.standard_normal((B, n, n))
         X = X - np.swapaxes(X, -1, -2)
-        # d/dt f(Q cayley(tX)) at t = 0 is <Q^T G, X> = <skew(Q^T G), X>
-        t = 1e-5
-        fd = (ps.objective(Q @ _cayley(t * X), M)
-              - ps.objective(Q @ _cayley(-t * X), M)) / (2 * t)
+        fd = (ps.evaluate(Q @ _cayley(t * X), M)[0]
+              - ps.evaluate(Q @ _cayley(-t * X), M)[0]) / (2 * t)
         exact = np.einsum("bij,bij->b", A, X)
         scale = 1.0 + np.abs(f) + np.abs(exact)
         assert np.all(np.abs(fd - exact) <= 1e-6 * scale)
+
+
+def _descent_inputs(n, parts, restarts, seed=0):
+    rng = np.random.default_rng([n, restarts, seed])
+    M = pair_curvature_operator(random_tensor(n, rng).components)
+    return (_random_orthogonal(rng, (restarts,), n), M,
+            _PairSet(n, _within_block_pairs(parts)))
+
+
+class TestDescent:
+    """``_descend`` does no work twice and shares one sample's operator."""
+
+    @pytest.mark.parametrize("max_iters", [1, 2, 40])
+    def test_one_evaluation_per_trial_round(self, monkeypatch, max_iters):
+        Q0, M, ps = _descent_inputs(5, (2, 3), 12)
+        evaluated, solved = [], []
+        evaluate, solve = ps.evaluate, np.linalg.solve
+
+        def counted_evaluate(Q, M):
+            evaluated.append(len(Q))
+            return evaluate(Q, M)
+
+        def counted_solve(a, b):
+            solved.append(len(a))
+            return solve(a, b)
+
+        monkeypatch.setattr(ps, "evaluate", counted_evaluate)
+        monkeypatch.setattr(np.linalg, "solve", counted_solve)
+        Q, f, _, _ = _descend(Q0, M, ps, OptimizerOptions(max_iters=max_iters))
+        # the start frames once, then each line-search round's trial frames
+        # once: an accepted frame's objective and M w are never recomputed
+        assert solved
+        assert evaluated == [len(Q0)] + solved
+        np.testing.assert_array_equal(f, evaluate(Q, M)[0])
+
+    @pytest.mark.parametrize("n,parts,restarts", [
+        (3, (2,), 6), (5, (2,), 6), (6, (2, 2), 8), (9, (4, 4), 4)])
+    def test_shared_operator_is_bit_equal_to_copies(self, n, parts,
+                                                    restarts):
+        Q0, M, ps = _descent_inputs(n, parts, restarts)
+        opts = OptimizerOptions(max_iters=300)
+        shared = _descend(Q0, M, ps, opts)
+        copies = _descend(Q0, np.repeat(M[None], restarts, axis=0), ps, opts)
+        for a, b in zip(shared, copies):
+            np.testing.assert_array_equal(a, b)
 
 
 def _frame_from_angles(n, axes, angles):

@@ -1,7 +1,10 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from lagdelta import gallery, inequalities
+from lagdelta.cli import _format_float, main
 from lagdelta.delta import OptimizerOptions
 from lagdelta.gallery import example_names, mesh_export, run_example
 from lagdelta.immersions import induced_data
@@ -74,3 +77,34 @@ def test_chunked_export_agrees(monkeypatch):
     assert len(rows) == 25
     np.testing.assert_allclose(np.array(rows), np.array(whole),
                                rtol=1e-10, atol=1e-10)
+
+
+@pytest.mark.parametrize("name", example_names())
+@pytest.mark.parametrize("seed", [0, 3])
+def test_verify_with_mesh_is_one_pass(tmp_path, monkeypatch, name, seed):
+    # the bytes of the claims alone and of the mesh export alone
+    alone = tmp_path / "alone.json"
+    assert main(["verify", name, "--seed", str(seed), "--out",
+                 str(alone)]) == 0
+    header, rows = mesh_export(name, 25, seed)
+    lines = [",".join(header)]
+    lines += [",".join(_format_float(v) for v in row) for row in rows]
+
+    extracted = Counter()
+    extract = gallery.induced_data
+
+    def counted(chart, x):
+        extracted[chart.name, x.tobytes()] += 1
+        return extract(chart, x)
+
+    monkeypatch.setattr(gallery, "induced_data", counted)
+    report, mesh = tmp_path / "report.json", tmp_path / "mesh.csv"
+    assert main(["verify", name, "--seed", str(seed), "--out", str(report),
+                 "--mesh-out", str(mesh)]) == 0
+    assert report.read_bytes() == alone.read_bytes()
+    assert mesh.read_text() == "\n".join(lines) + "\n"
+    assert extracted and set(extracted.values()) == {1}
+    # thm-9.2's 25 mesh points are among its 50 claim points, thm-9.3's 20
+    # claim points among its 25 mesh points; the other sets are disjoint
+    assert len(extracted) == {"exotic-s3": 100 + 25, "graph-8.2": 1 + 25,
+                              "thm-9.2": 50, "thm-9.3": 25}[name]

@@ -4,15 +4,38 @@ import pytest
 from lagdelta.cubic import gauss_curvature, mean_curvature
 from lagdelta.delta import oracle_delta_dim3
 from lagdelta.exceptions import ChartDomainError
-from lagdelta.immersions import (OdeState, Trajectory, clifford_legendrian,
-                                 cp_equality_chart, horizontality_residual,
-                                 induced_data, ode_family_integrate,
-                                 trajectory_residuals)
+from lagdelta.immersions import (OdeState, Trajectory, _rk4_step,
+                                 clifford_legendrian, cp_equality_chart,
+                                 horizontality_residual, induced_data,
+                                 ode_family_integrate, trajectory_residuals)
 
 INIT = OdeState(0.0, 0.0, 1.0, 0.0)
 
 
+def _array_rk4_step(n, y, h):
+    """The RK4 step on numpy 3-vectors: the reference for the float one."""
+    def rhs(y):
+        theta, lam, mu = y
+        return np.array([-lam / (n + 1), (n - 1) * lam * mu,
+                         -1.0 - mu * mu - n * lam * lam / (n + 1) ** 2])
+
+    k1 = rhs(y)
+    k2 = rhs(y + 0.5 * h * k1)
+    k3 = rhs(y + 0.5 * h * k2)
+    k4 = rhs(y + h * k3)
+    return y + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
 class TestIntegrator:
+    def test_float_step_equals_array_step(self):
+        rng = np.random.default_rng(5)
+        for _ in range(2000):
+            n = int(rng.integers(2, 8))
+            y = rng.standard_normal(3) * 10.0 ** rng.integers(-3, 3)
+            h = float(rng.uniform(-0.1, 0.1))
+            assert _rk4_step(n, tuple(y.tolist()), h) == tuple(
+                _array_rk4_step(n, y, h).tolist())
+
     def test_residuals_default_run(self):
         traj = ode_family_integrate(3, INIT, (0.0, 0.5), 1e-3)
         assert trajectory_residuals(traj).max() < 1e-9
