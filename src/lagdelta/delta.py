@@ -226,7 +226,7 @@ class _PairSet:
     per frame, or one ``(p, p)`` for the whole batch, with p = n(n-1)/2 the
     lexicographic pair basis ``(I, J)`` of ``frames.pair_basis``; the wedge
     coordinates w of the column pairs are ``(B, p, P)``.  The grid oracle
-    does not use this class.
+    and the assignment polish take every pair's from ``_second_compound``.
     """
 
     def __init__(self, n: int, pairs):
@@ -415,8 +415,7 @@ def _assignment_minima(Q: np.ndarray, M: np.ndarray, table: np.ndarray):
     """Smallest objective over the assignments of ``table`` for each frame
     Q (S, n, n) with its operator M (S, p, p), and the first row reaching
     it.  Each assignment adds its plane curvatures column by column."""
-    n = Q.shape[-1]
-    w = _PairSet(n, list(zip(*pair_basis(n)))).bivectors(Q)
+    w = _second_compound(Q, *pair_basis(Q.shape[-1]))
     K = (w * (M @ w)).sum(axis=1)  # every column pair's curvature (S, p)
     vals, picks = np.empty(len(K)), np.empty(len(K), dtype=np.intp)
     chunk = max(1, _CHUNK_ENTRIES // len(table))

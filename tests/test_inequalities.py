@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from lagdelta.cubic import (LagrangianPointData, gauss_curvature,
-                            mean_curvature, random_cubic_form, rotate_cubic)
+from lagdelta.cubic import (LagrangianPointData, cubic_triples,
+                            gauss_components, gauss_curvature,
+                            mean_curvature, random_cubic_form, rotate_cubic,
+                            symmetrize_cubic)
 from lagdelta.delta import (DeltaTuple, OptimizerOptions, enumerate_tuples,
                             oracle_delta_dim3)
 from lagdelta.exceptions import Inadmissible
-from lagdelta.inequalities import (InequalityVariant as V,
-                                   _equality_projection, admissible_variants,
+from lagdelta.inequalities import (InequalityVariant as V, _equality_basis,
+                                   _improved_mean_part, admissible_variants,
                                    bound_report, coefficients,
                                    detect_equality_structure, evaluate,
                                    evaluate_batch, select_improved,
@@ -22,6 +24,41 @@ FAST = OptimizerOptions(restarts=8, seed=0)
 def detectable_variants(tup):
     """Admissible variants with an equality structure (all but OPREA)."""
     return [v for v in admissible_variants(tup) if v != V.OPREA]
+
+
+def _traceless(S):
+    """Orthogonal projection of a symmetric (q, q, q) array onto the
+    traceless ones: S minus the symmetrized identity times tr / (q + 2)."""
+    tr = np.einsum("aag->g", S) / (len(S) + 2)
+    eye = np.eye(len(S))
+    return S - (np.einsum("ab,g->abg", eye, tr)
+                + np.einsum("bg,a->abg", eye, tr)
+                + np.einsum("ag,b->abg", eye, tr))
+
+
+def reference_projection(h, tup, variant):
+    """The hand-written equality projection and ``lam`` (None for OLD,
+    HIGH_A): the traceless within-block cubics, plus for IMPROVED and K1
+    the mutually orthogonal, equal-norm mean parts E_m, m in the
+    complement, with coefficients w_m = <E_m, h> / |E_m|^2."""
+    proj = np.zeros_like(h)
+    for block in tup.blocks():
+        s = slice(block[0], block[-1] + 1)
+        proj[s, s, s] = _traceless(h[s, s, s])
+    if variant in (V.IMPROVED, V.K1):
+        E = np.array([_improved_mean_part(np.zeros_like(h), tup, 1.0, m)
+                      for m in range(tup.N, tup.n)])
+        w = np.tensordot(E, h, axes=3) / np.vdot(E[0], E[0])
+        return proj + np.tensordot(w, E, axes=1), float(np.linalg.norm(w))
+    if variant == V.FIRST:
+        return proj, float(np.linalg.norm(proj)) / 2.0
+    return proj, None
+
+
+def hand_written_dimension(tup, variant):
+    """Traceless block cubics, plus n - N mean parts for IMPROVED and K1."""
+    dim = sum(q * (q + 1) * (q + 2) // 6 - q for q in tup.parts)
+    return dim + (tup.n - tup.N if variant in (V.IMPROVED, V.K1) else 0)
 
 
 class TestCoefficients:
@@ -296,26 +333,32 @@ class TestSynthesisRoundTrips:
 
 
 class TestEqualitySpace:
-    @pytest.mark.parametrize("n", range(3, 8))
+    @pytest.mark.parametrize("n", range(3, 9))
     def test_projector_rank(self, n):
-        # Pi is an orthogonal projector whose rank is the dimension of the
-        # traceless block cubics, plus n - N for the mean parts
+        # Pi = B^T B is an orthogonal projector of the hand-written rank,
+        # and projects as the hand-written reference does
         rng = np.random.default_rng(n)
-        forms = [random_cubic_form(n, rng)
-                 for _ in range((n + 2) * (n + 1) * n // 6 + 2)]
+        forms = [random_cubic_form(n, rng) for _ in range(3)]
         for tup in enumerate_tuples(n):
             for variant in detectable_variants(tup):
-                proj = np.array([_equality_projection(h, tup, variant)[0]
-                                 for h in forms])
-                expected = sum(q * (q + 1) * (q + 2) // 6 - q
-                               for q in tup.parts)
-                if variant in (V.IMPROVED, V.K1):
-                    expected += n - tup.N
-                flat = proj.reshape(len(forms), -1)
-                assert np.linalg.matrix_rank(flat) == expected, (tup, variant)
-                again, _ = _equality_projection(proj[0], tup, variant)
-                np.testing.assert_allclose(again, proj[0], atol=1e-13)
-                assert abs(np.vdot(forms[1] - proj[1], proj[0])) < 1e-12
+                basis = _equality_basis(tup, variant)
+                expected = hand_written_dimension(tup, variant)
+                assert len(basis) == expected, (tup, variant)
+                assert np.linalg.matrix_rank(basis) == expected
+                Pi = basis.T @ basis
+                np.testing.assert_allclose(Pi @ Pi, Pi, atol=1e-13)
+                np.testing.assert_allclose(Pi, Pi.T, atol=1e-14)
+                for h in forms:
+                    ref, lam = reference_projection(h, tup, variant)
+                    bound = 1e-12 * (1.0 + np.linalg.norm(h))
+                    proj = (Pi @ h.ravel()).reshape(h.shape)
+                    assert np.abs(proj - ref).max() <= bound, (tup, variant)
+                    rep = detect_equality_structure(h, tup, variant)
+                    dev = np.linalg.norm(h - ref)
+                    assert abs(rep.deviation - dev) <= bound
+                    assert (rep.lam is None) == (lam is None)
+                    if lam is not None:
+                        assert abs(rep.lam - lam) <= bound, (tup, variant)
 
     def test_search_keyword_is_ignored(self):
         form = random_cubic_form(6, np.random.default_rng(4))
@@ -347,6 +390,59 @@ class TestEqualitySpace:
         with pytest.raises(Inadmissible):
             detect_equality_structure(np.zeros(shape), DeltaTuple(5, (2,)),
                                       V.OLD)
+
+
+def gauss_forms(n):
+    """An orthonormal basis E of the symmetric (n, n, n) arrays, and on it
+    the quadratic forms H^2 and the plane curvatures R_abba at c = 0, by
+    polarizing the Gauss equation: (T, T) and (T, T, n, n)."""
+    units = np.zeros((len(cubic_triples(n)), n, n, n))
+    for t, (a, b, c) in enumerate(cubic_triples(n)):
+        units[t, a, b, c] = 1.0
+    E = symmetrize_cubic(units)
+    E /= np.linalg.norm(E.reshape(len(E), -1), axis=1)[:, None, None, None]
+
+    def values(h):
+        R = gauss_components(h, 0.0)
+        return mean_curvature(h)[1], np.einsum("...abba->...ab", R)
+
+    (h2_sum, K_sum), (h2, K) = values(E[:, None] + E[None, :]), values(E)
+    return (E, (h2_sum - h2[:, None] - h2[None, :]) / 2.0,
+            (K_sum - K[:, None] - K[None, :]) / 2.0)
+
+
+class TestEqualityKernel:
+    """The equality space is where the bound's quadratic form vanishes."""
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_kernel_vectors_attain_bound(self, n):
+        # the optimizer's identity start is a global minimizer at these
+        rng = np.random.default_rng([n, 21])
+        for tup in enumerate_tuples(n):
+            for variant in detectable_variants(tup):
+                basis = _equality_basis(tup, variant)
+                x = rng.standard_normal(len(basis)) @ basis
+                h = (x / np.linalg.norm(x)).reshape((n,) * 3)
+                rep = evaluate(LagrangianPointData(n, 0.0, h), variant, tup,
+                               FAST)
+                assert abs(rep.slack) <= 1e-9, (tup, variant, rep.slack)
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_bound_form_is_sound_and_vanishes_on_basis(self, n):
+        # a H^2 - (tau - sum_j tau(B_j)) >= 0, zero exactly on the basis
+        E, P, K = gauss_forms(n)
+        for tup in enumerate_tuples(n):
+            a, b = np.array([(a, b) for block in tup.blocks()
+                             for a in block for b in block if a < b]).T
+            G = 0.5 * K.sum(axis=(2, 3)) - K[..., a, b].sum(axis=-1)
+            for variant in detectable_variants(tup):
+                form = coefficients(variant, tup)[0] * P - G
+                vals = np.linalg.eigvalsh(form)
+                assert vals[0] >= -1e-12 * vals[-1], (tup, variant, vals[0])
+                coords = _equality_basis(tup, variant) @ E.reshape(
+                    len(E), -1).T
+                assert np.abs(form @ coords.T).max() <= 1e-12 * vals[-1]
+                assert (vals <= 1e-9 * vals[-1]).sum() == len(coords)
 
 
 class TestAudit:
