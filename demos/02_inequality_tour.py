@@ -20,7 +20,7 @@ for tup in enumerate_tuples(6):
     if tup.N < 6:
         variant = select_improved(tup)
         row.append(f"{variant.value} {coefficients(variant, tup)[0]:7.3f}")
-    print(f"  {str(tup):10s} A={tup.A:.3f}  " + "   ".join(row))
+    print(f"  {str(tup):10s} A={float(tup.A):.3f}  " + "   ".join(row))
 
 print("\ntuple (2): improved chain at n = 5")
 tup = DeltaTuple(5, (2,))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -40,8 +41,9 @@ __all__ = [
 class DeltaTuple:
     """An admissible tuple (n_1, ..., n_k): parts in [2, n), sum <= n.
 
-    Parts are kept in non-decreasing order.  ``A = sum 1/(2 + n_i)`` is the
-    threshold quantity separating the two improved inequalities.
+    Parts are kept in non-decreasing order.  ``A = sum 1/(2 + n_i)``, an
+    exact fraction, is the threshold quantity separating the two improved
+    inequalities.
     """
 
     n: int
@@ -71,8 +73,8 @@ class DeltaTuple:
         return sum(self.parts)
 
     @property
-    def A(self) -> float:
-        return float(sum(1.0 / (2 + p) for p in self.parts))
+    def A(self) -> Fraction:
+        return sum((Fraction(1, 2 + p) for p in self.parts), Fraction(0))
 
     def blocks(self) -> tuple:
         """Canonical column blocks: first n_1 indices, next n_2, ..."""

@@ -8,7 +8,9 @@ acceptance tests drive these suites.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -46,17 +48,32 @@ def _claim(name, worst, tol, note="", lower=False):
     return Claim(name, float(worst), tol, bool(ok), note)
 
 
+class _Example(NamedTuple):
+    """A gallery entry: its claims, its chart (built once per process) and
+    the bound (variant, tuple) that its claims and mesh rows evaluate."""
+
+    claims: Callable
+    chart: Callable
+    variant: InequalityVariant
+    tup: DeltaTuple
+
+
 # Both hyperplane families are checked in dimension 3, the flat one at
 # b = 1 and the projective one on a profile integrated with step 1e-3.
 _FAMILY_N = 3
 _FAMILY_TUPLE = DeltaTuple(_FAMILY_N, (_FAMILY_N - 1,))
 _FLAT_B = 1.0
 _CP_STEP = 1e-3
+# The gradient graph whose data at 0 attains the improved bound.
+_GRAPH_TUPLE = DeltaTuple(5, (2,))
 # Share of each chart-domain side left out when sampling chart points.
 _MESH_MARGIN = 0.05
 
 
 def _mesh_rows(chart, samples, seed):
+    """Chart points drawn row by row, so a sample set is a prefix of every
+    larger one of the same chart and seed: the 25 mesh points of thm-9.2
+    are the first of its 50 claim points."""
     rng = np.random.default_rng(seed)
     lo = chart.domain[:, 0]
     hi = chart.domain[:, 1]
@@ -64,73 +81,44 @@ def _mesh_rows(chart, samples, seed):
     return rng.uniform(lo + pad, hi - pad, size=(samples, chart.n))
 
 
-class _Pass:
-    """What one run of the gallery builds, each item once: charts,
-    profiles and the point data of chart points.
-
-    ``verify_with_mesh`` runs an example's claims and its mesh export in
-    one pass.  Rows are drawn row by row, so a sample set is a prefix of
-    every larger one of the same chart and seed: the 25 mesh points of
-    thm-9.2 are the first of its 50 claim points.
-    """
-
-    def __init__(self):
-        self._built = {}
-
-    def get(self, key, build):
-        if key not in self._built:
-            self._built[key] = build()
-        return self._built[key]
-
-    def extract(self, chart, x):
-        """``induced_data(chart, x)`` for a chart this pass built."""
-        return self.get((id(chart), x.tobytes()),
-                        lambda: induced_data(chart, x))
+def _extract(chart, x, seen: dict):
+    """``induced_data(chart, x)``, looked up first in ``seen``: the points
+    of ``chart`` already extracted in this pass, keyed by their bytes."""
+    key = x.tobytes()
+    if key not in seen:
+        seen[key] = induced_data(chart, x)
+    return seen[key]
 
 
-def _graph_chart(domain=None):
-    """The gradient graph whose data at 0 attains the improved bound."""
-    return graph_immersion(equality_graph_function(DeltaTuple(5, (2,)), 1.0),
-                           5, domain=domain, name="graph-8.2")
+@functools.cache
+def _legendrian():
+    return clifford_legendrian(_FAMILY_N)
 
 
-def _legendrian(run: _Pass):
-    return run.get("legendrian", lambda: clifford_legendrian(_FAMILY_N))
+@functools.cache
+def _cp_profile(step: float):
+    return ode_family_integrate(_FAMILY_N, OdeState(0.0, 0.0, 1.0, 0.0),
+                                (0.0, 0.5), step)
 
 
-def _flat_chart(run: _Pass):
-    return run.get("thm-9.2", lambda: flat_equality_chart(
-        _FAMILY_N, _FLAT_B, _legendrian(run)))
-
-
-def _cp_profile(run: _Pass, step: float):
-    return run.get(("profile", step), lambda: ode_family_integrate(
-        _FAMILY_N, OdeState(0.0, 0.0, 1.0, 0.0), (0.0, 0.5), step))
-
-
-def _cp_chart(run: _Pass):
-    return run.get("thm-9.3", lambda: cp_equality_chart(
-        _FAMILY_N, _cp_profile(run, _CP_STEP), _legendrian(run)))
-
-
-def verify_exotic_s3(samples: int = 100, seed: int = 0,
-                     run: _Pass | None = None) -> list[Claim]:
+def verify_exotic_s3(ex: _Example, seen: dict, samples: int = 100,
+                     seed: int = 0) -> list[Claim]:
     """Berger-sphere example: constant tau = 1/3, minimal, delta(2) = 2,
     equality in the first bound (rhs = 2 at c = 1, n = 3), horizontal
     cross-path, and the three compatibility conditions.  The field's data
     is constant, so only the horizontal chart is sampled."""
     fld = exotic_s3_field()
     data = fld.lagrangian_data()
-    rep = evaluate(data, InequalityVariant.FIRST, DeltaTuple(3, (2,)))
+    rep = evaluate(data, ex.variant, ex.tup)
     comp = compatibility_report(fld)
 
-    chart = (run or _Pass()).get("exotic-s3", exotic_s3_horizontal_chart)
+    chart = ex.chart()
     worst_cross = worst_horiz = 0.0
     for u in _mesh_rows(chart, samples, seed + 1):
-        ex = induced_data(chart, u)
+        extracted = _extract(chart, u, seen)
         worst_cross = max(worst_cross,
-                          abs(tau_from_cubic(ex.data) - 1.0 / 3.0))
-        worst_horiz = max(worst_horiz, ex.horizontality_residual)
+                          abs(tau_from_cubic(extracted.data) - 1.0 / 3.0))
+        worst_horiz = max(worst_horiz, extracted.horizontality_residual)
 
     return [
         _claim("tau-intrinsic", abs(tau_from_cubic(data) - 1.0 / 3.0), 1e-8,
@@ -146,23 +134,22 @@ def verify_exotic_s3(samples: int = 100, seed: int = 0,
     ]
 
 
-def verify_graph_equality(samples: int = 1, seed: int = 0,
-                          run: _Pass | None = None) -> list[Claim]:
+def verify_graph_equality(ex: _Example, seen: dict, samples: int = 1,
+                          seed: int = 0) -> list[Claim]:
     """Gradient-graph equality point: extracted cubic coefficients match
     the analytic third derivatives, H^2 = 1.69, delta(2) = 11.375, and the
     improved bound is attained with nonzero mean curvature."""
-    tup = DeltaTuple(5, (2,))
-    chart = _graph_chart()
-    ex = induced_data(chart, np.zeros(5))
+    chart = ex.chart()
+    data = _extract(chart, np.zeros(chart.n), seen).data
 
     # analytic third derivatives of F at 0 (the independent oracle)
     expected = validate_cubic([(1, 1, 3, 0.75), (2, 2, 3, 0.75),
                                (3, 3, 3, 3.0), (3, 4, 4, 1.0),
                                (3, 5, 5, 1.0)], 5)
-    worst_coeff = np.abs(ex.data.h - expected).max()
+    worst_coeff = np.abs(data.h - expected).max()
 
     opts = OptimizerOptions(restarts=8, seed=seed)
-    rep = evaluate(ex.data, InequalityVariant.IMPROVED, tup, opts)
+    rep = evaluate(data, ex.variant, ex.tup, opts)
 
     claims = [
         _claim("cubic-coefficients", worst_coeff, 1e-6,
@@ -173,26 +160,24 @@ def verify_graph_equality(samples: int = 1, seed: int = 0,
         _claim("nonzero-mean-curvature", rep.h2, 0.5, "H^2 > 0", lower=True),
     ]
     if samples > 1:
-        rng = np.random.default_rng(seed)
-        worst_omega = 0.0
-        for _ in range(samples - 1):
-            x = rng.uniform(-0.3, 0.3, size=5)
-            worst_omega = max(worst_omega, lagrangian_residual(chart, x))
+        lo, hi = chart.domain.T
+        pts = np.random.default_rng(seed).uniform(
+            lo, hi, size=(samples - 1, chart.n))
+        worst_omega = max(lagrangian_residual(chart, x) for x in pts)
         claims.append(_claim("kahler-pullback", worst_omega, 1e-8,
                              "max |omega(d_i, d_j)|"))
     return claims
 
 
-def verify_flat_family(samples: int = 50, seed: int = 0,
-                       run: _Pass | None = None) -> list[Claim]:
+def verify_flat_family(ex: _Example, seen: dict, samples: int = 50,
+                       seed: int = 0) -> list[Claim]:
     """Flat hyperplane-tuple family: Lagrangian, non-minimal, and the
     c = 0 bound delta(n-1) <= n(n-1) H^2 / 4 is attained."""
-    run = run or _Pass()
-    chart = _flat_chart(run)
+    chart = ex.chart()
     pts = _mesh_rows(chart, samples, seed)
     worst_omega = max(lagrangian_residual(chart, x) for x in pts)
-    reports = evaluate_batch([run.extract(chart, x).data for x in pts],
-                             InequalityVariant.HYPERPLANE_FLAT, _FAMILY_TUPLE)
+    reports = evaluate_batch([_extract(chart, x, seen).data for x in pts],
+                             ex.variant, ex.tup)
     min_h2 = min(rep.h2 for rep in reports)
     worst_slack = max(abs(rep.slack) for rep in reports)
     return [
@@ -202,23 +187,21 @@ def verify_flat_family(samples: int = 50, seed: int = 0,
     ]
 
 
-def verify_cp_family(samples: int = 20, seed: int = 0,
-                     run: _Pass | None = None) -> list[Claim]:
+def verify_cp_family(ex: _Example, seen: dict, samples: int = 20,
+                     seed: int = 0) -> list[Claim]:
     """Projective hyperplane-tuple family over the profile ODE: integrator
     residuals, unit-norm and horizontality of the chart, and equality of
     delta(n-1) <= (n-1)(n H^2 + 4)/4."""
-    run = run or _Pass()
-    resid = float(trajectory_residuals(_cp_profile(run, _CP_STEP)).max())
-    ratio = (trajectory_residuals(_cp_profile(run, 8e-3)).max()
-             / trajectory_residuals(_cp_profile(run, 4e-3)).max())
+    resid = float(trajectory_residuals(_cp_profile(_CP_STEP)).max())
+    ratio = (trajectory_residuals(_cp_profile(8e-3)).max()
+             / trajectory_residuals(_cp_profile(4e-3)).max())
 
-    chart = _cp_chart(run)
+    chart = ex.chart()
     pts = _mesh_rows(chart, samples, seed)
     worst_norm = max(abs(np.linalg.norm(chart.eval(x)) - 1.0) for x in pts)
-    extracted = [run.extract(chart, x) for x in pts]
-    worst_horiz = max(ex.horizontality_residual for ex in extracted)
-    reports = evaluate_batch([ex.data for ex in extracted],
-                             InequalityVariant.HYPERPLANE_CP, _FAMILY_TUPLE)
+    extracted = [_extract(chart, x, seen) for x in pts]
+    worst_horiz = max(e.horizontality_residual for e in extracted)
+    reports = evaluate_batch([e.data for e in extracted], ex.variant, ex.tup)
     worst_slack = max(abs(rep.slack) for rep in reports)
     return [
         _claim("integrator-residual", resid, 1e-9, f"step {_CP_STEP:g}"),
@@ -230,11 +213,24 @@ def verify_cp_family(samples: int = 20, seed: int = 0,
     ]
 
 
+# Every chart is a constant, so each is built once per process.
 GALLERY = {
-    "exotic-s3": verify_exotic_s3,
-    "graph-8.2": verify_graph_equality,
-    "thm-9.2": verify_flat_family,
-    "thm-9.3": verify_cp_family,
+    "exotic-s3": _Example(
+        verify_exotic_s3, functools.cache(exotic_s3_horizontal_chart),
+        InequalityVariant.FIRST, DeltaTuple(3, (2,))),
+    "graph-8.2": _Example(
+        verify_graph_equality, functools.cache(lambda: graph_immersion(
+            equality_graph_function(_GRAPH_TUPLE, 1.0), _GRAPH_TUPLE.n,
+            domain=[[-0.3, 0.3]] * _GRAPH_TUPLE.n, name="graph-8.2")),
+        InequalityVariant.IMPROVED, _GRAPH_TUPLE),
+    "thm-9.2": _Example(
+        verify_flat_family, functools.cache(lambda: flat_equality_chart(
+            _FAMILY_N, _FLAT_B, _legendrian())),
+        InequalityVariant.HYPERPLANE_FLAT, _FAMILY_TUPLE),
+    "thm-9.3": _Example(
+        verify_cp_family, functools.cache(lambda: cp_equality_chart(
+            _FAMILY_N, _cp_profile(_CP_STEP), _legendrian())),
+        InequalityVariant.HYPERPLANE_CP, _FAMILY_TUPLE),
 }
 # descriptive aliases, accepted wherever an example is named
 _ALIASES = {
@@ -242,18 +238,18 @@ _ALIASES = {
     "flat-hyperplane-family": "thm-9.2",
     "cp-hyperplane-family": "thm-9.3",
 }
-GALLERY.update({alias: GALLERY[name] for alias, name in _ALIASES.items()})
 
 
 def example_names() -> list[str]:
-    return [name for name in GALLERY if name not in _ALIASES]
+    return list(GALLERY)
 
 
 def _canonical(name: str) -> str:
-    if name not in GALLERY:
+    canonical = _ALIASES.get(name, name)
+    if canonical not in GALLERY:
         raise ValueError(f"unknown example {name!r}; available: "
-                       f"{', '.join(example_names())}")
-    return _ALIASES.get(name, name)
+                         f"{', '.join(GALLERY)}")
+    return canonical
 
 
 def example_point_data(name: str):
@@ -262,42 +258,27 @@ def example_point_data(name: str):
     if canonical == "exotic-s3":
         return exotic_s3_field().lagrangian_data()
     if canonical == "graph-8.2":
-        return induced_data(_graph_chart(), np.zeros(5)).data
+        return induced_data(GALLERY[canonical].chart(), np.zeros(5)).data
     raise Inadmissible(f"no pointwise data registered for example {name!r}; "
                        f"use exotic-s3 or graph-8.2")
 
 
-def _mesh_chart_and_bound(name: str, run: _Pass | None = None):
-    """Chart and bound (variant, tuple) of an example's mesh export."""
-    name = _canonical(name)
-    run = run or _Pass()
-    if name == "exotic-s3":
-        return (run.get(name, exotic_s3_horizontal_chart),
-                InequalityVariant.FIRST, DeltaTuple(3, (2,)))
-    if name == "graph-8.2":
-        return (run.get(name, lambda: _graph_chart(domain=[[-0.3, 0.3]] * 5)),
-                InequalityVariant.IMPROVED, DeltaTuple(5, (2,)))
-    if name == "thm-9.2":
-        return (_flat_chart(run), InequalityVariant.HYPERPLANE_FLAT,
-                _FAMILY_TUPLE)
-    return _cp_chart(run), InequalityVariant.HYPERPLANE_CP, _FAMILY_TUPLE
-
-
 def mesh_export(name: str, samples: int = 25, seed: int = 0,
-                run: _Pass | None = None):
+                seen: dict | None = None):
     """Sampled rows for CSV export: chart point, ambient point, tau, H^2,
     and the example's bound slack.  Returns (header, rows)."""
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    run = run or _Pass()
-    chart, variant, tup = _mesh_chart_and_bound(name, run)
+    ex = GALLERY[_canonical(name)]
+    chart = ex.chart()
+    seen = {} if seen is None else seen
     pts = _mesh_rows(chart, samples, seed)
     ambient_dim = len(chart.eval(pts[0]))
     header = ([f"x{i}" for i in range(chart.n)]
               + [f"L{k}_{p}" for k in range(ambient_dim) for p in ("re", "im")]
-              + ["tau", "h2", f"slack_{variant.value}"])
-    datas = [run.extract(chart, x).data for x in pts]
-    reports = evaluate_batch(datas, variant, tup,
+              + ["tau", "h2", f"slack_{ex.variant.value}"])
+    datas = [_extract(chart, x, seen).data for x in pts]
+    reports = evaluate_batch(datas, ex.variant, ex.tup,
                              OptimizerOptions(restarts=6, seed=seed))
     rows = []
     for x, data, rep in zip(pts, datas, reports):
@@ -309,21 +290,22 @@ def mesh_export(name: str, samples: int = 25, seed: int = 0,
 
 
 def run_example(name: str, samples: int | None = None, seed: int = 0,
-                run: _Pass | None = None) -> list[Claim]:
-    """The example's claims; ``run`` is a gallery pass whose charts,
-    profiles and extracted points they share (``verify_with_mesh``)."""
-    fn = GALLERY[_canonical(name)]  # ValueError for an unknown name
+                seen: dict | None = None) -> list[Claim]:
+    """The example's claims; ``seen`` holds the chart points already
+    extracted in this pass (``verify_with_mesh``)."""
+    ex = GALLERY[_canonical(name)]  # ValueError for an unknown name
+    seen = {} if seen is None else seen
     if samples is None:
-        return fn(seed=seed, run=run)
+        return ex.claims(ex, seen, seed=seed)
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    return fn(samples=samples, seed=seed, run=run)
+    return ex.claims(ex, seen, samples=samples, seed=seed)
 
 
 def verify_with_mesh(name: str, samples: int | None = None, seed: int = 0):
     """``run_example`` and ``mesh_export`` (``samples`` rows, 25 by
-    default) in one pass: each chart and profile is built once, and each
-    chart point's data extracted once.  Returns (claims, (header, rows))."""
-    run = _Pass()
-    claims = run_example(name, samples, seed, run)
-    return claims, mesh_export(name, samples or 25, seed, run)
+    default) in one pass: each chart point's data is extracted once.
+    Returns (claims, (header, rows))."""
+    seen = {}
+    claims = run_example(name, samples, seed, seen)
+    return claims, mesh_export(name, samples or 25, seed, seen)

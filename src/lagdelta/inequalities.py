@@ -9,6 +9,7 @@ synthesizes equality-case data for round-trip tests.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -59,10 +60,6 @@ _BLOCK_VARIANTS = (InequalityVariant.OLD, InequalityVariant.HIGH_A,
 _MEAN_VARIANTS = (InequalityVariant.IMPROVED, InequalityVariant.K1)
 
 
-def _a_fraction(tup: DeltaTuple) -> Fraction:
-    return sum((Fraction(1, 2 + p) for p in tup.parts), Fraction(0))
-
-
 def coefficients(variant: InequalityVariant, tup: DeltaTuple) -> tuple[float, float]:
     """Right-hand-side coefficients (a, b): the bound is a*H^2 + b*c.
 
@@ -72,7 +69,7 @@ def coefficients(variant: InequalityVariant, tup: DeltaTuple) -> tuple[float, fl
     """
     n, k, N = tup.n, tup.k, tup.N
     b = 0.5 * (n * (n - 1) - sum(p * (p - 1) for p in tup.parts))
-    A = _a_fraction(tup)
+    A = tup.A
 
     if variant == InequalityVariant.OLD:
         a = n * n * (n + k - 1 - N) / (2.0 * (n + k - N))
@@ -127,7 +124,7 @@ def select_improved(tup: DeltaTuple) -> InequalityVariant:
     if tup.N >= tup.n:
         raise Inadmissible("no improved bound at N = n; only the base "
                            "inequality applies there")
-    return (InequalityVariant.IMPROVED if _a_fraction(tup) <= _THIRD
+    return (InequalityVariant.IMPROVED if tup.A <= _THIRD
             else InequalityVariant.HIGH_A)
 
 
@@ -324,13 +321,16 @@ class StructureReport:
     tol: float
 
 
+# The largest basis, at n = 12, takes 3.8 MB, so only a few are kept.
+@functools.lru_cache(maxsize=16)
 def _equality_basis(tup: DeltaTuple, variant: InequalityVariant) -> np.ndarray:
     """Orthonormal rows (r, n**3) spanning the cubics with equality in
     delta <= a H^2 at c = 0 in the block frame: ker(a P - G), P = H^2 and
     G = tau - sum_j tau(B_j) of the identity frame (G <= delta).  On the
     orthonormal sorted-triple basis, 2 G = F F^T - I - T T^T + diag(s) and
     P = F F^T / n^2, with F the traces h_gaa, T those over each block and
-    s each element's squared mass on the within-block (b, c) of h_gbc."""
+    s each element's squared mass on the within-block (b, c) of h_gbc.
+    The rows are cached per (tuple, variant), so they are read-only."""
     n, triples = tup.n, cubic_triples(tup.n)
     E = scatter_cubic(np.zeros((len(triples), n, n, n)), triples,
                       np.eye(len(triples)))
@@ -345,7 +345,9 @@ def _equality_basis(tup: DeltaTuple, variant: InequalityVariant) -> np.ndarray:
     vals, vecs = np.linalg.eigh(form)
     # at n <= 12 the kernel's eigenvalues are at most 1.2e-15 of the
     # largest in size and the others at least 3.3e-3, so the cutoff is fixed
-    return vecs[:, vals <= 1e-9 * vals[-1]].T @ E.reshape(len(E), -1)
+    basis = vecs[:, vals <= 1e-9 * vals[-1]].T @ E.reshape(len(E), -1)
+    basis.flags.writeable = False
+    return basis
 
 
 def detect_equality_structure(h: np.ndarray, tup: DeltaTuple,
@@ -377,7 +379,7 @@ def detect_equality_structure(h: np.ndarray, tup: DeltaTuple,
     dev = float(np.linalg.norm(work - proj))
     lam = None
     if variant in _MEAN_VARIANTS:
-        den = tup.n - tup.N + 3 * tup.k + 2 - 6.0 * float(_a_fraction(tup))
+        den = tup.n - tup.N + 3 * tup.k + 2 - 6.0 * float(tup.A)
         lam = tup.n * float(np.sqrt(mean_curvature(proj)[1])) / den
     elif variant == InequalityVariant.FIRST:
         lam = float(np.linalg.norm(coords)) / 2.0

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -47,6 +48,10 @@ class TestEnumerateTuples:
         assert t.k == 2 and t.N == 5
         assert t.A == pytest.approx(1 / 4 + 1 / 5)
         assert t.blocks() == ((0, 1), (2, 3, 4))
+
+    def test_A_is_exact(self):
+        # the boundary A = 1/3 exactly, where the improved bound applies
+        assert DeltaTuple(9, (4, 4)).A == Fraction(1, 3)
 
     def test_invalid_parts(self):
         with pytest.raises(Inadmissible):

@@ -53,13 +53,14 @@ def test_family_checks_are_one_batch(monkeypatch, name):
     ("graph-8.2", 0), ("graph-8.2", 1), ("graph-8.2", 2),
     ("exotic-s3", 0), ("thm-9.2", 0), ("thm-9.3", 0)])
 def test_mesh_slack_matches_evaluate(name, seed):
-    chart, variant, tup = gallery._mesh_chart_and_bound(name)
+    ex = gallery.GALLERY[name]
+    chart, tup = ex.chart(), ex.tup
     opts = OptimizerOptions(restarts=6, seed=seed)
     _, rows = mesh_export(name, 25, seed)
     pts = gallery._mesh_rows(chart, 25, seed)
     for x, row in zip(pts, rows):
         assert row[:len(x)] == list(x)
-        slack = evaluate(induced_data(chart, x).data, variant, tup,
+        slack = evaluate(induced_data(chart, x).data, ex.variant, tup,
                          opts).slack
         if tup.parts == (tup.n - 1,):
             assert row[-1] == slack  # closed form: batching changes no bit
@@ -108,3 +109,25 @@ def test_verify_with_mesh_is_one_pass(tmp_path, monkeypatch, name, seed):
     # claim points among its 25 mesh points; the other sets are disjoint
     assert len(extracted) == {"exotic-s3": 100 + 25, "graph-8.2": 1 + 25,
                               "thm-9.2": 50, "thm-9.3": 25}[name]
+
+
+def test_charts_built_once_per_process(monkeypatch):
+    built = Counter()
+
+    def counted(fn):
+        def build(*args):
+            built[fn.__name__] += 1
+            return fn(*args)
+        return build
+
+    for name in ("clifford_legendrian", "ode_family_integrate"):
+        monkeypatch.setattr(gallery, name, counted(getattr(gallery, name)))
+    for ex in gallery.GALLERY.values():
+        ex.chart.cache_clear()
+    gallery._legendrian.cache_clear()
+    gallery._cp_profile.cache_clear()
+    for _ in range(2):
+        gallery.verify_with_mesh("thm-9.3")
+    run_example("thm-9.2")
+    # one Legendrian torus, and one profile for each of the three steps
+    assert built == {"clifford_legendrian": 1, "ode_family_integrate": 3}

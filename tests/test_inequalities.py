@@ -333,6 +333,13 @@ class TestSynthesisRoundTrips:
 
 
 class TestEqualitySpace:
+    def test_basis_cached_read_only(self):
+        tup = DeltaTuple(5, (2,))
+        basis = _equality_basis(tup, V.IMPROVED)
+        assert _equality_basis(DeltaTuple(5, (2,)), V.IMPROVED) is basis
+        with pytest.raises(ValueError):
+            basis[0, 0] = 1.0
+
     @pytest.mark.parametrize("n", range(3, 9))
     def test_projector_rank(self, n):
         # Pi = B^T B is an orthogonal projector of the hand-written rank,
