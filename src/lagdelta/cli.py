@@ -18,8 +18,8 @@ import numpy as np
 from .cubic import (MAX_N, gauss_curvature, mean_curvature,
                     point_data_from_json)
 from .delta import (MAX_BATCH_ELEMENTS, MAX_GRID_RESOLUTION, DeltaTuple,
-                    OptimizerOptions, _closed_form, delta_invariant,
-                    enumerate_tuples, oracle_delta_dim3, oracle_delta_grid)
+                    OptimizerOptions, delta_invariant, enumerate_tuples,
+                    oracle_delta_dim3, oracle_delta_grid)
 from .exceptions import Inadmissible
 from .frames import scalar_tau
 from .gallery import (example_names, example_point_data, run_example,
@@ -203,7 +203,7 @@ def _cmd_delta(args) -> int:
         variant = InequalityVariant(args.variant)
         coefficients(variant, tup)  # refuse an inadmissible pairing up front
     R = gauss_curvature(data)
-    if not _closed_form(tup):
+    if not tup.hyperplane:
         _check_budget(1, data.n, args.restarts)
     opts = OptimizerOptions(restarts=args.restarts, max_iters=args.max_iters,
                             seed=args.seed)
@@ -273,7 +273,7 @@ def _cmd_audit(args) -> int:
     # soundness_audit picks its tuples
     _check_budget(args.count, max(ns))
     optimized = [n for n in ns for tup in enumerate_tuples(n)
-                 if not _closed_form(tup)
+                 if not tup.hyperplane
                  and any(variants is None or v in variants
                          for v in admissible_variants(tup))]
     if optimized:

@@ -13,7 +13,8 @@ local grids) back both up in tests.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import operator
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -41,16 +42,21 @@ __all__ = [
 class DeltaTuple:
     """An admissible tuple (n_1, ..., n_k): parts in [2, n), sum <= n.
 
-    Parts are kept in non-decreasing order.  ``A = sum 1/(2 + n_i)``, an
-    exact fraction, is the threshold quantity separating the two improved
-    inequalities.
+    n and the parts are integers (NumPy integers included), the parts kept
+    in non-decreasing order.  ``A = sum 1/(2 + n_i)``, an exact fraction,
+    is the threshold quantity separating the two improved inequalities.
     """
 
     n: int
     parts: tuple
 
     def __post_init__(self):
-        parts = tuple(sorted(int(p) for p in self.parts))
+        try:
+            object.__setattr__(self, "n", operator.index(self.n))
+            parts = tuple(sorted(operator.index(p) for p in self.parts))
+        except TypeError:
+            raise Inadmissible(f"n and parts must be integers, got n = "
+                               f"{self.n!r}, parts {self.parts!r}") from None
         if self.n < 3:
             raise Inadmissible(f"ambient dimension must be >= 3, got {self.n}")
         if len(parts) < 1:
@@ -76,6 +82,18 @@ class DeltaTuple:
     def A(self) -> Fraction:
         return sum((Fraction(1, 2 + p) for p in self.parts), Fraction(0))
 
+    @property
+    def hyperplane(self) -> bool:
+        """Whether this is the tuple (n-1), whose delta is closed form."""
+        return self.parts == (self.n - 1,)
+
+    @property
+    def labels(self) -> np.ndarray:
+        """Block of each frame column (n,) in the canonical blocks, k for
+        the columns outside them."""
+        sizes = self.parts + (self.n - self.N,)
+        return np.repeat(np.arange(self.k + 1), sizes)
+
     def blocks(self) -> tuple:
         """Canonical column blocks: first n_1 indices, next n_2, ..."""
         out, start = [], 0
@@ -92,22 +110,10 @@ def enumerate_tuples(n: int) -> list[DeltaTuple]:
     """All admissible tuples for dimension n, k ascending then lexicographic."""
     if n < 3:
         raise Inadmissible(f"n must be >= 3, got {n}")
-    by_k: dict[int, list] = {}
-
-    def rec(prefix, min_part, budget):
-        for p in range(min_part, n):
-            if p > budget:
-                break
-            tup = prefix + (p,)
-            by_k.setdefault(len(tup), []).append(tup)
-            rec(tup, p, budget - p)
-
-    rec((), 2, n)
-    out = []
-    for k in sorted(by_k):
-        for parts in sorted(by_k[k]):
-            out.append(DeltaTuple(n, parts))
-    return out
+    return [DeltaTuple(n, parts) for k in range(1, n // 2 + 1)
+            for parts in itertools.combinations_with_replacement(
+                range(2, n), k)
+            if sum(parts) <= n]
 
 
 @dataclass(frozen=True)
@@ -188,9 +194,9 @@ class DeltaDiagnostics:
     """
 
     restarts: int
+    restarts_converged: int
     iterations: int
     converged: bool
-    restarts_converged: int
     best_gap: float
     assignment_rounds: int
 
@@ -199,55 +205,61 @@ class DeltaDiagnostics:
         return not self.converged
 
     def summary(self) -> dict:
-        return {
-            "restarts": self.restarts,
-            "restarts_converged": self.restarts_converged,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "best_gap": self.best_gap,
-            "assignment_rounds": self.assignment_rounds,
-        }
+        return asdict(self)
 
 
-def _within_block_pairs(parts) -> list[tuple[int, int]]:
-    pairs, start = [], 0
-    for p in parts:
-        for a in range(start, start + p):
-            for b in range(a + 1, start + p):
-                pairs.append((a, b))
-        start += p
-    return pairs
+def _pair_index(n: int) -> np.ndarray:
+    """Pair-basis index (n, n) of the pair {i, j}, i != j, as int8."""
+    I, J = pair_basis(n)
+    index = np.zeros((n, n), dtype=np.int8)
+    index[I, J] = index[J, I] = np.arange(len(I))
+    return index
+
+
+def _block_pairs(tup: DeltaTuple) -> np.ndarray:
+    """Mask (p,) over ``frames.pair_basis``: the frame-column pairs that
+    share a block of the tuple, in lexicographic, so block by block, order."""
+    I, J = pair_basis(tup.n)
+    labels = tup.labels
+    return (labels[I] == labels[J]) & (labels[I] < tup.k)
+
+
+def _wedge(Q: np.ndarray, I, J, a, b) -> np.ndarray:
+    """Wedge coordinates q_a ^ q_b of the column pairs (a, b) of frames Q
+    (..., n, n) in the pair basis ``(I, J) = pair_basis(n)``: (..., p, P).
+
+    With (a, b) = (I, J) this is the second compound C2(Q), the 2x2 minors,
+    and C2(AB) = C2(A) C2(B) (Cauchy-Binet); any other (a, b) picks columns
+    of it.
+    """
+    U, V = Q[..., a], Q[..., b]
+    return U[..., I, :] * V[..., J, :] - U[..., J, :] * V[..., I, :]
 
 
 class _PairSet:
-    """Precomputed index machinery for a block-pair objective at dimension n.
+    """Precomputed index machinery for the block-pair objective of a tuple.
 
-    ``pairs`` lists the P frame-column pairs (a, b) that lie in a common
-    block; the objective sums their plane curvatures.  Array layouts: frames
-    Q are ``(B, n, n)``; the pair curvature operator M is ``(B, p, p)``, one
-    per frame, or one ``(p, p)`` for the whole batch, with p = n(n-1)/2 the
+    ``a`` and ``b`` list the P frame-column pairs of ``_block_pairs``; the
+    objective sums their plane curvatures.  Array layouts: frames Q are
+    ``(B, n, n)``; the pair curvature operator M is ``(B, p, p)``, one per
+    frame, or one ``(p, p)`` for the whole batch, with p = n(n-1)/2 the
     lexicographic pair basis ``(I, J)`` of ``frames.pair_basis``; the wedge
-    coordinates w of the column pairs are ``(B, p, P)``.  The grid oracle
-    and the assignment polish take every pair's from ``_second_compound``.
+    coordinates w of the column pairs are ``(B, p, P)``.
     """
 
-    def __init__(self, n: int, pairs):
-        self.n = n
-        self.pairs = list(pairs)
+    def __init__(self, tup: DeltaTuple):
+        n = tup.n
         self.I, self.J = pair_basis(n)
-        self.a = np.array([q[0] for q in pairs], dtype=np.intp)
-        self.b = np.array([q[1] for q in pairs], dtype=np.intp)
-        P = len(self.pairs)
+        within = _block_pairs(tup)
+        self.a, self.b = self.I[within], self.J[within]
+        P = len(self.a)
         # The gradient multiplies block pair k's antisymmetric W_k,
         # W_k[i, j] = (M w_k)_ij for i < j, into u_k and v_k.  Row i of W_k
         # holds, for each j != i in turn, M w_k at pair-basis index
         # _entry_pair[i, 0, j], and meets row _entry_rows[i, 0, 0, j] of Q
         # stacked over -Q: the negated copy carries the sign where j < i.
-        pair_index = np.zeros((n, n), dtype=np.intp)
-        pair_index[self.I, self.J] = pair_index[self.J, self.I] = np.arange(
-            len(self.I))
         i, j = np.nonzero(~np.eye(n, dtype=bool))
-        self._entry_pair = pair_index[i, j].reshape(n, 1, n - 1)
+        self._entry_pair = _pair_index(n)[i, j].reshape(n, 1, n - 1)
         self._entry_rows = np.where(j < i, j + n, j).reshape(n, 1, 1, n - 1)
         self._vu = np.concatenate((self.b, self.a)).reshape(1, 2, P, 1)
         self._k = np.arange(P).reshape(1, P, 1)
@@ -257,14 +269,9 @@ class _PairSet:
         ends[1, np.arange(P), self.b] = -2.0
         self._ends = ends.reshape(2 * P, n)
 
-    def bivectors(self, Q: np.ndarray) -> np.ndarray:
-        """Wedge coordinates of each block pair: (B, p, P)."""
-        U, V = Q[:, :, self.a], Q[:, :, self.b]
-        return U[:, self.I] * V[:, self.J] - U[:, self.J] * V[:, self.I]
-
     def evaluate(self, Q: np.ndarray, M: np.ndarray):
         """Objective (B,) and M w (B, p, P) of frames Q (B, n, n)."""
-        w = self.bivectors(Q)
+        w = _wedge(Q, self.I, self.J, self.a, self.b)
         Mw = M @ w
         return (w * Mw).sum(axis=(1, 2)), Mw
 
@@ -381,16 +388,17 @@ def _descend(Q0, M0, ps: _PairSet, opts: OptimizerOptions):
     return out_Q, out_f, out_conv, iterations
 
 
-def _assignment_table(n: int, parts):
-    """Every assignment of the n frame columns to blocks of sizes ``parts``.
+def _assignment_table(tup: DeltaTuple):
+    """Every assignment of the n frame columns to the tuple's blocks.
 
     Rows are in lexicographic order of the blocks, equal-size blocks by
     increasing first column.  ``orders (A, n)`` lists each assignment's
     columns block by block, then the unassigned ones increasing; ``table
     (A, P)`` holds the pair-basis index of each within-block pair, in
-    ``_within_block_pairs`` order.  Both are int8, which keeps the largest
-    table (415 800 rows at n = 12) a few megabytes.
+    ``_block_pairs`` order.  Both are int8, which keeps the largest table
+    (415 800 rows at n = 12) a few megabytes.
     """
+    n, parts = tup.n, tup.parts
     chosen = np.empty((1, 0), dtype=np.int8)  # columns assigned so far
     rest = np.arange(n, dtype=np.int8)[None]  # the others, increasing
     for k, p in enumerate(parts):
@@ -407,17 +415,16 @@ def _assignment_table(n: int, parts):
             chosen, rest = chosen[keep], rest[keep]
     orders = np.concatenate((chosen, rest), axis=1)
     I, J = pair_basis(n)
-    pair_index = np.zeros((n, n), dtype=np.int8)
-    pair_index[I, J] = np.arange(len(I))
-    a, b = np.array(_within_block_pairs(parts)).T
-    return orders, pair_index[orders[:, a], orders[:, b]]
+    within = _block_pairs(tup)
+    return orders, _pair_index(n)[orders[:, I[within]], orders[:, J[within]]]
 
 
 def _assignment_minima(Q: np.ndarray, M: np.ndarray, table: np.ndarray):
     """Smallest objective over the assignments of ``table`` for each frame
     Q (S, n, n) with its operator M (S, p, p), and the first row reaching
     it.  Each assignment adds its plane curvatures column by column."""
-    w = _second_compound(Q, *pair_basis(Q.shape[-1]))
+    I, J = pair_basis(Q.shape[-1])
+    w = _wedge(Q, I, J, I, J)
     K = (w * (M @ w)).sum(axis=1)  # every column pair's curvature (S, p)
     vals, picks = np.empty(len(K)), np.empty(len(K), dtype=np.intp)
     chunk = max(1, _CHUNK_ENTRIES // len(table))
@@ -468,7 +475,7 @@ def _minimize_batch(components: np.ndarray, tup: DeltaTuple,
     """
     S, n = components.shape[0], components.shape[-1]
     M = pair_curvature_operator(components)
-    ps = _PairSet(n, _within_block_pairs(tup.parts))
+    ps = _PairSet(tup)
     restarts = opts.restarts
     Q0 = _initial_frames(components, restarts, opts.seed)
     # one sample's restarts share its operator; flat order is sample-major
@@ -486,7 +493,7 @@ def _minimize_batch(components: np.ndarray, tup: DeltaTuple,
 
     # discrete assignment polish: relabel each winning frame's columns into
     # the blocks of least objective, then descend again from there
-    orders, table = _assignment_table(n, tup.parts)
+    orders, table = _assignment_table(tup)
     rounds_used = np.zeros(S, dtype=int)
     active = np.arange(S)
     for _ in range(_ASSIGNMENT_ROUNDS):
@@ -507,26 +514,18 @@ def _minimize_batch(components: np.ndarray, tup: DeltaTuple,
         iterations += it_r
         active = sub  # a frame the polish left alone stays unchanged
 
-    diags = []
-    for s in range(S):
-        vals = np.sort(f[s])
-        distinct = vals[vals > vals[0] + 1e-9 * (1 + abs(vals[0]))]
-        gap = float(distinct[0] - vals[0]) if distinct.size else 0.0
-        diags.append(DeltaDiagnostics(
-            restarts=restarts,
-            iterations=iterations,
-            converged=bool(best_conv[s]),
-            restarts_converged=int(done[s].sum()),
-            best_gap=gap,
-            assignment_rounds=int(rounds_used[s]),
-        ))
+    # best_gap: from the lowest restart value to the next distinct one
+    vals = np.sort(f, axis=1)
+    low = vals[:, :1]
+    distinct = vals > low + 1e-9 * (1 + np.abs(low))
+    nxt = vals[np.arange(S), np.argmax(distinct, axis=1)]
+    gaps = np.where(distinct.any(axis=1), nxt - low[:, 0], 0.0)
+    diags = [DeltaDiagnostics(
+        restarts=restarts, restarts_converged=int(done[s].sum()),
+        iterations=iterations, converged=bool(best_conv[s]),
+        best_gap=float(gaps[s]), assignment_rounds=int(rounds_used[s]))
+        for s in range(S)]
     return best_f, best_Q, diags
-
-
-def _closed_form(tup: DeltaTuple) -> bool:
-    """Whether delta of the tuple is closed form (the hyperplane tuple
-    n-1), so that no optimizer runs for it."""
-    return tup.parts == (tup.n - 1,)
 
 
 def delta_invariant_batch(components: np.ndarray, tup: DeltaTuple,
@@ -556,7 +555,7 @@ def delta_invariant_batch(components: np.ndarray, tup: DeltaTuple,
     if not (np.abs(components) <= MAX_COMPONENT).all():
         raise ValueError(f"curvature components must be finite and at "
                          f"most {MAX_COMPONENT:g} in magnitude")
-    if _closed_form(tup):
+    if tup.hyperplane:
         vals, frames = _ricci_eigh(components)
         return vals[:, -1], frames, [
             DeltaDiagnostics(restarts=0, iterations=0, converged=True,
@@ -624,17 +623,6 @@ def _givens(n: int, i: int, j: int, t: float) -> np.ndarray:
     return G
 
 
-def _second_compound(Q: np.ndarray, I, J) -> np.ndarray:
-    """Batched second compound C2(Q): the 2x2 minors of ``(..., n, n)``
-    matrices, rows and columns in the pair basis ``(I, J) = pair_basis(n)``.
-
-    Column (a, b) of C2(Q) holds the wedge coordinates of q_a ^ q_b, and
-    C2(AB) = C2(A) C2(B) (Cauchy-Binet).
-    """
-    U, V = Q[..., I, :], Q[..., J, :]
-    return U[..., I] * V[..., J] - U[..., J] * V[..., I]
-
-
 def _rotation_products(n, axes, thetas):
     """Frames G(axes[0], t_0) ... G(axes[-1], t_k) for every combination of
     angles, t_i from ``thetas[i]``: (prod of len(thetas[i]), n, n), C order."""
@@ -654,10 +642,9 @@ def _grid_minimum(M, n, axes, within, thetas):
     """
     I, J = pair_basis(n)
     half = len(axes) // 2
-    C1 = _second_compound(_rotation_products(n, axes[:half], thetas[:half]),
-                          I, J)
-    Y = _second_compound(_rotation_products(n, axes[half:], thetas[half:]),
-                         I, J)[..., within]
+    C1 = _wedge(_rotation_products(n, axes[:half], thetas[:half]), I, J, I, J)
+    Y = _wedge(_rotation_products(n, axes[half:], thetas[half:]), I, J,
+               I[within], J[within])
     left = (np.swapaxes(C1, -1, -2) @ M @ C1).reshape(len(C1), -1)
     right = (Y @ np.swapaxes(Y, -1, -2)).reshape(len(Y), -1)
     best_val, best_flat = np.inf, 0
@@ -683,7 +670,8 @@ def oracle_delta_grid(R: CurvatureTensor, tup: DeltaTuple, resolution: int,
     around the best frame: the spacing shrinks fourfold unless a lower
     value turns up on the window's edge, where the next window is centred.
     Every grid is one GEMM through second compound matrices
-    (``_grid_minimum``), a path that shares no code with the optimizer's.
+    (``_grid_minimum``), a path that shares only ``_block_pairs`` and the
+    wedge kernel ``_wedge`` with the optimizer.
     """
     n = R.n
     if n > 4:
@@ -698,11 +686,7 @@ def oracle_delta_grid(R: CurvatureTensor, tup: DeltaTuple, resolution: int,
                          f", got {resolution}")
     axes = _GRID_AXES[key]
     M = pair_curvature_operator(R.components)
-    I, J = pair_basis(n)
-    labels = np.full(n, -1)  # block of each frame column, -1 for the rest
-    labels[:tup.N] = np.repeat(np.arange(tup.k), tup.parts)
-    within = (labels[I] == labels[J]) & (labels[I] >= 0)
-
+    within = _block_pairs(tup)
     thetas = [np.pi * np.arange(resolution) / resolution] * len(axes)
     best_val, idx = _grid_minimum(M, n, axes, within, thetas)
     spacing = np.pi / resolution

@@ -109,7 +109,7 @@ def coefficients(variant: InequalityVariant, tup: DeltaTuple) -> tuple[float, fl
 
     if variant in (InequalityVariant.HYPERPLANE_FLAT,
                    InequalityVariant.HYPERPLANE_CP):
-        if tup.parts != (n - 1,):
+        if not tup.hyperplane:
             raise Inadmissible(f"{variant.value} applies to the tuple (n-1) only")
         a = n * (n - 1) / 4.0
         if variant == InequalityVariant.HYPERPLANE_FLAT:
@@ -335,8 +335,7 @@ def _equality_basis(tup: DeltaTuple, variant: InequalityVariant) -> np.ndarray:
     E = scatter_cubic(np.zeros((len(triples), n, n, n)), triples,
                       np.eye(len(triples)))
     E /= np.sqrt((E * E).sum(axis=(1, 2, 3)))[:, None, None, None]
-    labels = np.repeat(np.arange(tup.k + 1), tup.parts + (n - tup.N,))
-    member = (labels[:, None] == np.arange(tup.k)).astype(float)  # (n, k)
+    member = (tup.labels[:, None] == np.arange(tup.k)).astype(float)  # (n, k)
     diag = np.diagonal(E, axis1=2, axis2=3)  # (T, g, a)
     F, T = diag.sum(axis=2), (diag @ member).reshape(len(E), -1)
     s = np.einsum("tgbc,bc->t", E * E, member @ member.T)

@@ -7,15 +7,14 @@ import pytest
 from lagdelta.cubic import (MAX_N, LagrangianPointData, gauss_components,
                             gauss_curvature, random_cubic_form,
                             validate_cubic)
-from lagdelta.delta import (DeltaTuple, OptimizerOptions, SubspaceConfig,
-                            config_objective, delta_invariant,
+from lagdelta.delta import (DeltaDiagnostics, DeltaTuple, OptimizerOptions,
+                            SubspaceConfig, config_objective, delta_invariant,
                             delta_invariant_batch, enumerate_tuples,
                             oracle_delta_dim3, oracle_delta_grid)
 from lagdelta.delta import (MAX_GRID_RESOLUTION, _GRID_AXES, _PairSet,
                             _assignment_minima, _assignment_table,
-                            _descend, _givens, _minimize_batch,
-                            _random_orthogonal, _second_compound,
-                            _within_block_pairs)
+                            _block_pairs, _descend, _givens, _minimize_batch,
+                            _random_orthogonal, _wedge)
 from lagdelta.exceptions import Inadmissible
 from lagdelta.frames import (constant_curvature, pair_basis,
                              pair_curvature_operator, rotate_tensor,
@@ -43,11 +42,41 @@ class TestEnumerateTuples:
         with pytest.raises(Inadmissible):
             enumerate_tuples(2)
 
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_matches_brute_force(self, n):
+        # every multiset of parts in [2, n), as multiplicities per part size
+        sizes = range(2, n)
+        found = []
+        for mult in itertools.product(*(range(n // p + 1) for p in sizes)):
+            parts = tuple(p for p, m in zip(sizes, mult) for _ in range(m))
+            if parts and sum(parts) <= n:
+                found.append(parts)
+        found.sort(key=lambda parts: (len(parts), parts))
+        assert [t.parts for t in enumerate_tuples(n)] == found
+
+    @pytest.mark.parametrize("n,parts", [(5, (2.7,)), (5, ("3",)),
+                                         (5.0, (2,))])
+    def test_non_integers_rejected(self, n, parts):
+        with pytest.raises(Inadmissible, match="integers"):
+            DeltaTuple(n, parts)
+
+    def test_numpy_integers_accepted(self):
+        tup = DeltaTuple(np.int64(5), (np.int64(3), np.int64(2)))
+        assert tup == DeltaTuple(5, (2, 3))
+        assert type(tup.n) is int
+        assert all(type(p) is int for p in tup.parts)
+
     def test_derived_quantities(self):
         t = DeltaTuple(7, (2, 3))
         assert t.k == 2 and t.N == 5
         assert t.A == pytest.approx(1 / 4 + 1 / 5)
         assert t.blocks() == ((0, 1), (2, 3, 4))
+
+    def test_labels_and_hyperplane(self):
+        assert DeltaTuple(7, (2, 3)).labels.tolist() == [0, 0, 1, 1, 1, 2, 2]
+        assert DeltaTuple(4, (2, 2)).labels.tolist() == [0, 0, 1, 1]
+        assert [t.hyperplane for t in enumerate_tuples(5)] == [
+            False, False, True, False, False]
 
     def test_A_is_exact(self):
         # the boundary A = 1/3 exactly, where the improved bound applies
@@ -260,6 +289,36 @@ class TestDispatcher:
                 "restarts": 0, "restarts_converged": 0, "iterations": 0,
                 "converged": True, "best_gap": 0.0, "assignment_rounds": 0}
 
+    def test_summary_in_report_order(self):
+        d = DeltaDiagnostics(restarts=4, restarts_converged=3, iterations=9,
+                             converged=True, best_gap=0.5,
+                             assignment_rounds=1)
+        assert list(d.summary().items()) == [
+            ("restarts", 4), ("restarts_converged", 3), ("iterations", 9),
+            ("converged", True), ("best_gap", 0.5), ("assignment_rounds", 1)]
+
+    def test_best_gap_matches_per_sample_loop(self, monkeypatch):
+        restarts_f = []
+
+        def recorded(*args):
+            out = _descend(*args)
+            restarts_f.append(out[1])
+            return out
+
+        monkeypatch.setattr("lagdelta.delta._descend", recorded)
+        rng = np.random.default_rng(44)
+        comps = np.stack([random_tensor(5, rng).components for _ in range(3)]
+                         + [constant_curvature(5, 1.0).components])
+        _, _, diags = _minimize_batch(comps, DeltaTuple(5, (2,)),
+                                      OptimizerOptions(restarts=6,
+                                                       max_iters=3))
+        for f, d in zip(restarts_f[0].reshape(4, 6), diags):
+            vals = np.sort(f)
+            distinct = vals[vals > vals[0] + 1e-9 * (1 + abs(vals[0]))]
+            gap = float(distinct[0] - vals[0]) if distinct.size else 0.0
+            assert d.best_gap == gap
+        assert diags[0].best_gap > 0.0 and diags[-1].best_gap == 0.0
+
     @pytest.mark.parametrize("n", [3, 5, 8])
     def test_closed_form_config_achieves_value(self, n):
         R = random_tensor(n, np.random.default_rng([n, 42]))
@@ -346,6 +405,31 @@ def _brute_assignments(n, parts):
     return sorted(found)
 
 
+def _within_block_pairs(parts):
+    """Frame-column pairs (a, b), a < b, of each canonical block in turn:
+    the hand-built reference for ``_block_pairs``."""
+    pairs, start = [], 0
+    for p in parts:
+        for a in range(start, start + p):
+            for b in range(a + 1, start + p):
+                pairs.append((a, b))
+        start += p
+    return pairs
+
+
+class TestBlockPairs:
+    """The within-block pairs, derived from the tuple's labels."""
+
+    def test_matches_hand_built_pairs(self):
+        tuples = [t for n in range(3, 13) for t in enumerate_tuples(n)]
+        assert len(tuples) == 248
+        for tup in tuples:
+            I, J = pair_basis(tup.n)
+            within = _block_pairs(tup)
+            got = list(zip(I[within].tolist(), J[within].tolist()))
+            assert got == _within_block_pairs(tup.parts), tup
+
+
 class TestAssignmentPolish:
     """The assignment table and its gather against brute force."""
 
@@ -353,7 +437,7 @@ class TestAssignmentPolish:
         (4, (2,)), (4, (2, 2)), (5, (2, 3)), (6, (2, 2, 2)), (6, (3, 3)),
         (7, (2, 3)), (7, (2, 2, 2)), (7, (3, 3))])
     def test_table_matches_brute_force(self, n, parts):
-        orders, table = _assignment_table(n, parts)
+        orders, table = _assignment_table(DeltaTuple(n, parts))
         ref = _brute_assignments(n, parts)
         pairs = _within_block_pairs(parts)
         assert orders.shape == (len(ref), n)
@@ -378,7 +462,7 @@ class TestAssignmentPolish:
         tensors = [random_tensor(n, rng) for _ in range(2)]
         Q = _random_orthogonal(rng, (2,), n)
         M = pair_curvature_operator(np.stack([R.components for R in tensors]))
-        orders, table = _assignment_table(n, parts)
+        orders, table = _assignment_table(DeltaTuple(n, parts))
         vals, picks = _assignment_minima(Q, M, table)
         blocks = DeltaTuple(n, parts).blocks()
         for s, R in enumerate(tensors):
@@ -393,14 +477,14 @@ class TestAssignmentPolish:
     def test_ties_go_to_the_first_assignment(self):
         # constant curvature in the standard frame: every sum is exactly 3
         M = pair_curvature_operator(constant_curvature(6, 1.0).components)
-        _, table = _assignment_table(6, (2, 2, 2))
+        _, table = _assignment_table(DeltaTuple(6, (2, 2, 2)))
         vals, picks = _assignment_minima(np.eye(6)[None], M[None], table)
         assert vals[0] == 3.0 and picks[0] == 0
 
     def test_largest_table_reproduces_value(self):
         # (2,2,3,4) and (2,2,3,3) at n = 12 have the most assignments
         tup = DeltaTuple(12, (2, 2, 3, 4))
-        assert len(_assignment_table(12, tup.parts)[0]) == 415_800
+        assert len(_assignment_table(tup)[0]) == 415_800
         R = random_tensor(12, np.random.default_rng([12, 2, 2, 3, 4]))
         val, cfg, diag = delta_invariant(
             R, tup, OptimizerOptions(restarts=1, max_iters=2))
@@ -425,14 +509,15 @@ class TestPairSetContractions:
         rng = np.random.default_rng([n, len(parts)])
         tensors = [random_tensor(n, rng) for _ in range(3)]
         Q = _random_orthogonal(rng, (3,), n)
-        ps = _PairSet(n, _within_block_pairs(parts))
+        ps = _PairSet(DeltaTuple(n, parts))
         blocks = DeltaTuple(n, parts).blocks()
         ref = [config_objective(R, SubspaceConfig(Q[s], blocks))
                for s, R in enumerate(tensors)]
         M = pair_curvature_operator(np.stack([R.components for R in tensors]))
         f, Mw = ps.evaluate(Q, M)
         np.testing.assert_allclose(f, ref, rtol=1e-12, atol=1e-12)
-        np.testing.assert_array_equal(Mw, M @ ps.bivectors(Q))
+        np.testing.assert_array_equal(Mw, M @ _wedge(Q, ps.I, ps.J, ps.a,
+                                                     ps.b))
         # one shared (p, p) operator for the whole batch
         shared = [config_objective(tensors[0], SubspaceConfig(q, blocks))
                   for q in Q]
@@ -446,7 +531,7 @@ class TestPairSetContractions:
         M = pair_curvature_operator(np.stack(
             [random_tensor(n, rng).components for _ in range(B)]))
         Q = _random_orthogonal(rng, (B,), n)
-        ps = _PairSet(n, _within_block_pairs(parts))
+        ps = _PairSet(DeltaTuple(n, parts))
         f, Mw = ps.evaluate(Q, M)
         G = ps.gradient(Q, Mw)
         t = 1e-5
@@ -473,7 +558,7 @@ def _descent_inputs(n, parts, restarts, seed=0):
     rng = np.random.default_rng([n, restarts, seed])
     M = pair_curvature_operator(random_tensor(n, rng).components)
     return (_random_orthogonal(rng, (restarts,), n), M,
-            _PairSet(n, _within_block_pairs(parts)))
+            _PairSet(DeltaTuple(n, parts)))
 
 
 class TestDescent:
@@ -560,9 +645,20 @@ class TestSecondCompound:
         A = rng.standard_normal((5, n, n))
         B = rng.standard_normal((5, n, n))
         np.testing.assert_allclose(
-            _second_compound(A @ B, I, J),
-            _second_compound(A, I, J) @ _second_compound(B, I, J),
+            _wedge(A @ B, I, J, I, J),
+            _wedge(A, I, J, I, J) @ _wedge(B, I, J, I, J),
             rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [3, 4, 7])
+    def test_pair_columns_of_compound(self, n):
+        # the grid's right half-grid takes only its within-block columns
+        Q = _random_orthogonal(np.random.default_rng([n, 23]), (3,), n)
+        I, J = pair_basis(n)
+        C = _wedge(Q, I, J, I, J)
+        for tup in enumerate_tuples(n):
+            within = _block_pairs(tup)
+            np.testing.assert_array_equal(
+                _wedge(Q, I, J, I[within], J[within]), C[..., within])
 
     @pytest.mark.parametrize("n,parts", sorted(_GRID_AXES))
     def test_diagonal_sum_equals_config_objective(self, n, parts):
@@ -572,7 +668,8 @@ class TestSecondCompound:
         within = _within_columns(n, parts)
         blocks = DeltaTuple(n, parts).blocks()
         Q = _random_orthogonal(rng, (4,), n)
-        C = _second_compound(Q, *pair_basis(n))
+        I, J = pair_basis(n)
+        C = _wedge(Q, I, J, I, J)
         diag = np.diagonal(np.swapaxes(C, -1, -2) @ M @ C, axis1=-2, axis2=-1)
         ref = [config_objective(R, SubspaceConfig(q, blocks)) for q in Q]
         np.testing.assert_allclose(diag[:, within].sum(axis=-1), ref,
