@@ -108,6 +108,10 @@ class DeltaTuple:
 
 def enumerate_tuples(n: int) -> list[DeltaTuple]:
     """All admissible tuples for dimension n, k ascending then lexicographic."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise Inadmissible(f"n must be an integer, got {n!r}") from None
     if n < 3:
         raise Inadmissible(f"n must be >= 3, got {n}")
     return [DeltaTuple(n, parts) for k in range(1, n // 2 + 1)

@@ -81,13 +81,16 @@ def _mesh_rows(chart, samples, seed):
     return rng.uniform(lo + pad, hi - pad, size=(samples, chart.n))
 
 
-def _extract(chart, x, seen: dict):
-    """``induced_data(chart, x)``, looked up first in ``seen``: the points
-    of ``chart`` already extracted in this pass, keyed by their bytes."""
-    key = x.tobytes()
-    if key not in seen:
-        seen[key] = induced_data(chart, x)
-    return seen[key]
+def _extract(chart, pts, seen: dict) -> list:
+    """``induced_data(chart, pts)`` for a stack of chart points, each row
+    looked up first in ``seen``: the points of ``chart`` already extracted
+    in this pass, keyed by their bytes.  The rows not seen yet are
+    extracted in one call."""
+    keys = [x.tobytes() for x in pts]
+    new = {key: i for i, key in enumerate(keys) if key not in seen}
+    if new:
+        seen.update(zip(new, induced_data(chart, pts[list(new.values())])))
+    return [seen[key] for key in keys]
 
 
 @functools.cache
@@ -113,12 +116,10 @@ def verify_exotic_s3(ex: _Example, seen: dict, samples: int = 100,
     comp = compatibility_report(fld)
 
     chart = ex.chart()
-    worst_cross = worst_horiz = 0.0
-    for u in _mesh_rows(chart, samples, seed + 1):
-        extracted = _extract(chart, u, seen)
-        worst_cross = max(worst_cross,
-                          abs(tau_from_cubic(extracted.data) - 1.0 / 3.0))
-        worst_horiz = max(worst_horiz, extracted.horizontality_residual)
+    extracted = _extract(chart, _mesh_rows(chart, samples, seed + 1), seen)
+    worst_cross = max(abs(tau_from_cubic(e.data) - 1.0 / 3.0)
+                      for e in extracted)
+    worst_horiz = max(e.horizontality_residual for e in extracted)
 
     return [
         _claim("tau-intrinsic", abs(tau_from_cubic(data) - 1.0 / 3.0), 1e-8,
@@ -140,7 +141,7 @@ def verify_graph_equality(ex: _Example, seen: dict, samples: int = 1,
     the analytic third derivatives, H^2 = 1.69, delta(2) = 11.375, and the
     improved bound is attained with nonzero mean curvature."""
     chart = ex.chart()
-    data = _extract(chart, np.zeros(chart.n), seen).data
+    data = _extract(chart, np.zeros((1, chart.n)), seen)[0].data
 
     # analytic third derivatives of F at 0 (the independent oracle)
     expected = validate_cubic([(1, 1, 3, 0.75), (2, 2, 3, 0.75),
@@ -163,7 +164,7 @@ def verify_graph_equality(ex: _Example, seen: dict, samples: int = 1,
         lo, hi = chart.domain.T
         pts = np.random.default_rng(seed).uniform(
             lo, hi, size=(samples - 1, chart.n))
-        worst_omega = max(lagrangian_residual(chart, x) for x in pts)
+        worst_omega = lagrangian_residual(chart, pts)
         claims.append(_claim("kahler-pullback", worst_omega, 1e-8,
                              "max |omega(d_i, d_j)|"))
     return claims
@@ -175,8 +176,8 @@ def verify_flat_family(ex: _Example, seen: dict, samples: int = 50,
     c = 0 bound delta(n-1) <= n(n-1) H^2 / 4 is attained."""
     chart = ex.chart()
     pts = _mesh_rows(chart, samples, seed)
-    worst_omega = max(lagrangian_residual(chart, x) for x in pts)
-    reports = evaluate_batch([_extract(chart, x, seen).data for x in pts],
+    worst_omega = lagrangian_residual(chart, pts)
+    reports = evaluate_batch([e.data for e in _extract(chart, pts, seen)],
                              ex.variant, ex.tup)
     min_h2 = min(rep.h2 for rep in reports)
     worst_slack = max(abs(rep.slack) for rep in reports)
@@ -198,8 +199,8 @@ def verify_cp_family(ex: _Example, seen: dict, samples: int = 20,
 
     chart = ex.chart()
     pts = _mesh_rows(chart, samples, seed)
-    worst_norm = max(abs(np.linalg.norm(chart.eval(x)) - 1.0) for x in pts)
-    extracted = [_extract(chart, x, seen) for x in pts]
+    worst_norm = max(abs(np.linalg.norm(L) - 1.0) for L in chart.eval(pts))
+    extracted = _extract(chart, pts, seen)
     worst_horiz = max(e.horizontality_residual for e in extracted)
     reports = evaluate_batch([e.data for e in extracted], ex.variant, ex.tup)
     worst_slack = max(abs(rep.slack) for rep in reports)
@@ -273,16 +274,16 @@ def mesh_export(name: str, samples: int = 25, seed: int = 0,
     chart = ex.chart()
     seen = {} if seen is None else seen
     pts = _mesh_rows(chart, samples, seed)
-    ambient_dim = len(chart.eval(pts[0]))
+    ambient = chart.eval(pts)
     header = ([f"x{i}" for i in range(chart.n)]
-              + [f"L{k}_{p}" for k in range(ambient_dim) for p in ("re", "im")]
+              + [f"L{k}_{p}" for k in range(ambient.shape[1])
+                 for p in ("re", "im")]
               + ["tau", "h2", f"slack_{ex.variant.value}"])
-    datas = [_extract(chart, x, seen).data for x in pts]
+    datas = [e.data for e in _extract(chart, pts, seen)]
     reports = evaluate_batch(datas, ex.variant, ex.tup,
                              OptimizerOptions(restarts=6, seed=seed))
     rows = []
-    for x, data, rep in zip(pts, datas, reports):
-        L = chart.eval(x)
+    for x, L, data, rep in zip(pts, ambient, datas, reports):
         row = list(x) + [v for z in L for v in (z.real, z.imag)]
         row += [tau_from_cubic(data), rep.h2, rep.slack]
         rows.append(row)

@@ -42,6 +42,16 @@ class TestEnumerateTuples:
         with pytest.raises(Inadmissible):
             enumerate_tuples(2)
 
+    @pytest.mark.parametrize("n", [5.0, "5"])
+    def test_non_integer_n_rejected(self, n):
+        with pytest.raises(Inadmissible, match="integer"):
+            enumerate_tuples(n)
+
+    def test_numpy_integer_n_accepted(self):
+        tuples = enumerate_tuples(np.int64(5))
+        assert tuples == enumerate_tuples(5)
+        assert all(type(t.n) is int for t in tuples)
+
     @pytest.mark.parametrize("n", range(3, 13))
     def test_matches_brute_force(self, n):
         # every multiset of parts in [2, n), as multiplicities per part size

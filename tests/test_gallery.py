@@ -94,9 +94,10 @@ def test_verify_with_mesh_is_one_pass(tmp_path, monkeypatch, name, seed):
     extracted = Counter()
     extract = gallery.induced_data
 
-    def counted(chart, x):
-        extracted[chart.name, x.tobytes()] += 1
-        return extract(chart, x)
+    def counted(chart, pts):
+        for x in pts:
+            extracted[chart.name, x.tobytes()] += 1
+        return extract(chart, pts)
 
     monkeypatch.setattr(gallery, "induced_data", counted)
     report, mesh = tmp_path / "report.json", tmp_path / "mesh.csv"
