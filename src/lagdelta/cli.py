@@ -10,6 +10,7 @@ flags give byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -327,7 +328,9 @@ def _cmd_audit(args) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call of the process."""
     parser = argparse.ArgumentParser(
         prog="lagdelta",
         description="delta-invariants and sharp curvature bounds for "

@@ -10,6 +10,7 @@ triples appear only in the JSON schema.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -69,18 +70,35 @@ def symmetrize_cubic(t: np.ndarray) -> np.ndarray:
     return sum(_last_three(t, p) for p in _PERMUTATIONS) / 6.0
 
 
+@functools.cache
+def _orbits(n: int):
+    """Flat indices into an (n, n, n) array, read-only and cached per n:
+    (T, 6) of the permutations of each sorted triple (``cubic_triples``
+    order), and (n**3,) of the sorted triple of each entry."""
+    triples = cubic_triples(n)
+    orbits = np.stack([np.ravel_multi_index(tuple(triples[:, p].T), (n,) * 3)
+                       for p in _PERMUTATIONS], axis=1)
+    sorted_entry = np.empty(n ** 3, dtype=np.intp)
+    sorted_entry[orbits] = orbits[:, :1]
+    orbits.flags.writeable = sorted_entry.flags.writeable = False
+    return orbits, sorted_entry
+
+
 def symmetry_deviation(t: np.ndarray) -> float:
     """Max deviation of t from symmetry under the permutations of its last
-    three axes."""
-    return max(float(np.abs(t - _last_three(t, p)).max())
-               for p in _PERMUTATIONS[1:])
+    three axes: the largest spread, max - min, of t over the permutations
+    of one index triple, which is the largest |t - t permuted|."""
+    t = np.asarray(t)
+    n = t.shape[-1]
+    flat = t.reshape(*t.shape[:-3], n ** 3)
+    return float(np.ptp(flat[..., _orbits(n)[0]], axis=-1).max())
 
 
 def _canonical_cubic(h, tol: float = 1e-12) -> np.ndarray:
     """Read-only, exactly symmetric copy of a cubic array.
 
     Checks the (n, n, n) shape, finiteness and total symmetry within
-    ``tol * (1 + max|h|)``, then scatters each sorted-triple entry to every
+    ``tol * (1 + max|h|)``, then copies each sorted-triple entry to every
     permutation.  Adding 0.0 stores -0.0 as 0.0.
     """
     h = np.asarray(h, dtype=float)
@@ -92,8 +110,7 @@ def _canonical_cubic(h, tol: float = 1e-12) -> np.ndarray:
     dev = symmetry_deviation(h)
     if dev > tol * (1.0 + np.abs(h).max()):
         raise ValueError(f"array is not totally symmetric: deviation {dev:.3e}")
-    triples = cubic_triples(h.shape[0])
-    out = scatter_cubic(np.zeros_like(h), triples, h[tuple(triples.T)] + 0.0)
+    out = (h.ravel()[_orbits(h.shape[0])[1]] + 0.0).reshape(h.shape)
     out.flags.writeable = False
     return out
 

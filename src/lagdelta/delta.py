@@ -175,6 +175,19 @@ class OptimizerOptions:
 _GTOL = 3e-8
 _STALL_TOL = 1e-12
 _STALL_ITERS = 20
+# A frame whose gradient norm is at most _NEWTON_GTOL (1 + |f|) tries a
+# Newton step: its Hessian from central differences of step _NEWTON_EPS,
+# used where lambda_min > _NEWTON_PD lambda_max.  A step t longer than
+# _NEWTON_RADIUS, half the rotation angle pi/2 that swaps two frame columns,
+# is cut to that length: Armijo only asks that f fall, and would accept a
+# jump into another basin.  A chunk of Hessians evaluates at most half the
+# working set's frames, or _HESSIAN_ENTRIES // n**4 of them, or one
+# frame's 2d.
+_NEWTON_GTOL = 1e-2
+_NEWTON_EPS = 1e-5
+_NEWTON_PD = 1e-8
+_NEWTON_RADIUS = np.pi / 4
+_HESSIAN_ENTRIES = 1 << 17
 _ASSIGNMENT_ROUNDS = 2  # polish-and-descend rounds after the restarts
 _CHUNK_ENTRIES = 2_000_000  # per block of the grid GEMM and assignment gather
 
@@ -184,7 +197,8 @@ _CHUNK_ENTRIES = 2_000_000  # per block of the grid GEMM and assignment gather
 # 0.88 n**4 floats per frame for n <= 12, 350 MB at the budget.  A batch of
 # several samples adds one (p, p) operator per frame, under n**4 / 4.
 # Measured peak RSS at the budget, n = 12, tuple (2, 10), two iterations:
-# 465 MB for 1 sample of 2411 restarts, 659 MB for 401 samples of 6.
+# 465 MB for 1 sample of 2411 restarts, 659 MB for 401 samples of 6; with
+# a Newton Hessian of every frame in both iterations, 495 and 654 MB.
 MAX_BATCH_ELEMENTS = 50_000_000
 
 
@@ -244,7 +258,11 @@ class _PairSet:
     """Precomputed index machinery for the block-pair objective of a tuple.
 
     ``a`` and ``b`` list the P frame-column pairs of ``_block_pairs``; the
-    objective sums their plane curvatures.  Array layouts: frames Q are
+    objective sums their plane curvatures.  ``hi`` and ``hj`` list the d
+    horizontal pairs, columns with different ``DeltaTuple.labels``: a
+    rotation within a block, or within the complement, leaves the
+    objective unchanged, so only the d rotations E_l = e_i e_j^T - e_j e_i^T
+    of these pairs move it.  Array layouts: frames Q are
     ``(B, n, n)``; the pair curvature operator M is ``(B, p, p)``, one per
     frame, or one ``(p, p)`` for the whole batch, with p = n(n-1)/2 the
     lexicographic pair basis ``(I, J)`` of ``frames.pair_basis``; the wedge
@@ -256,6 +274,8 @@ class _PairSet:
         self.I, self.J = pair_basis(n)
         within = _block_pairs(tup)
         self.a, self.b = self.I[within], self.J[within]
+        horizontal = tup.labels[self.I] != tup.labels[self.J]
+        self.hi, self.hj = self.I[horizontal], self.J[horizontal]
         P = len(self.a)
         # The gradient multiplies block pair k's antisymmetric W_k,
         # W_k[i, j] = (M w_k)_ij for i < j, into u_k and v_k.  Row i of W_k
@@ -272,12 +292,16 @@ class _PairSet:
         ends[0, np.arange(P), self.a] = 2.0
         ends[1, np.arange(P), self.b] = -2.0
         self._ends = ends.reshape(2 * P, n)
+        # the Hessian's stencil: exp(+eps E_l), then exp(-eps E_l), (2d, n, n)
+        self._stencil = np.array([
+            _givens(n, i, j, t) for t in (-_NEWTON_EPS, _NEWTON_EPS)
+            for i, j in zip(self.hi, self.hj)])
 
     def evaluate(self, Q: np.ndarray, M: np.ndarray):
-        """Objective (B,) and M w (B, p, P) of frames Q (B, n, n)."""
+        """Objective (...) and M w (..., p, P) of frames Q (..., n, n)."""
         w = _wedge(Q, self.I, self.J, self.a, self.b)
         Mw = M @ w
-        return (w * Mw).sum(axis=(1, 2)), Mw
+        return (w * Mw).sum(axis=(-2, -1)), Mw
 
     def gradient(self, Q: np.ndarray, Mw: np.ndarray) -> np.ndarray:
         """Euclidean gradient (B, n, n) of the objective in Q, from the
@@ -293,15 +317,69 @@ class _PairSet:
                         Mw[:, self._entry_pair, self._k])
         return Wvu.reshape(B, n, -1) @ self._ends
 
+    def hessian(self, Q: np.ndarray, M: np.ndarray) -> np.ndarray:
+        """Hessian (B, d, d) of f(Q exp(sum_l t_l E_l)) in the horizontal
+        coordinates t at t = 0, for frames Q (B, n, n).
 
-def _armijo_trial(ps: _PairSet, eye, Q, A, M, step, f, g2):
-    """Cayley steps of sizes ``step`` against the Riemannian gradients
-    Q A: the trial frames, their objective and M w, and which pass
-    Armijo's sufficient-decrease test."""
-    X = 0.5 * step[:, None, None] * A
+        Central differences, step ``_NEWTON_EPS``, of the exact gradient
+        g_k = <Q^T G, E_k> at the 2d frames Q exp(+-eps E_l), symmetrized.
+        """
+        B, n = Q.shape[:2]
+        d = len(self.hi)
+        Qp = Q[:, None] @ self._stencil
+        Mw = self.evaluate(Qp, M if M.ndim == 2 else M[:, None])[1]
+        Qp = Qp.reshape(-1, n, n)
+        QtG = np.swapaxes(Qp, -1, -2) @ self.gradient(
+            Qp, Mw.reshape(len(Qp), *Mw.shape[2:]))
+        g = (QtG[:, self.hi, self.hj]
+             - QtG[:, self.hj, self.hi]).reshape(B, 2, d, d)
+        H = (g[:, 0] - g[:, 1]) / (2.0 * _NEWTON_EPS)
+        return 0.5 * (H + np.swapaxes(H, -1, -2))
+
+
+def _armijo_trial(ps: _PairSet, eye, Q, Z, M, step, f, slope):
+    """Cayley steps Q cayley(-step Z) of sizes ``step`` along the skew
+    directions -Z, where f falls at rate ``slope``: the trial frames, their
+    objective and M w, and which pass Armijo's sufficient-decrease test."""
+    X = 0.5 * step[:, None, None] * Z
     Qt = Q @ np.linalg.solve(eye + X, eye - X)
     ft, Mwt = ps.evaluate(Qt, M)
-    return Qt, ft, Mwt, ft <= f - 1e-4 * step * g2
+    return Qt, ft, Mwt, ft <= f - 1e-4 * step * slope
+
+
+def _newton_directions(ps: _PairSet, Q, M, A, sel):
+    """Newton steps for the frames ``sel`` of a working set Q (W, n, n)
+    with operators M and Riemannian gradients Q A.
+
+    Returns the frames of ``sel`` whose Hessian (``_PairSet.hessian``) has
+    lambda_min > ``_NEWTON_PD`` lambda_max; for those, Z with Q cayley(-Z)
+    the Newton step, -Z = -sum_l t_l E_l for t = H^-1 g cut to length at
+    most ``_NEWTON_RADIUS``; and the rate g^T t at which f falls along it.
+    Hessians are built and solved c frames at a time, for 2dc stencil
+    frames at most W / 2 (the iteration's gradient took W), or
+    ``_HESSIAN_ENTRIES // n**4``, or 2d: the Hessians add little to the
+    descent's peak memory.
+    """
+    n, d = Q.shape[-1], len(ps.hi)
+    chunk = max(1, max(len(Q) // 2, _HESSIAN_ENTRIES // n**4) // (2 * d))
+    found, steps, rates = [], [], []
+    for lo in range(0, len(sel), chunk):
+        s = sel[lo:lo + chunk]
+        lam, V = np.linalg.eigh(ps.hessian(Q[s], M if M.ndim == 2 else M[s]))
+        pd = lam[:, 0] > _NEWTON_PD * lam[:, -1]
+        s, lam, V = s[pd], lam[pd], V[pd]
+        g = 2.0 * A[s[:, None], ps.hi, ps.hj]
+        t = np.einsum("bkl,bl->bk", V, np.einsum("bkl,bk->bl", V, g) / lam)
+        length = np.linalg.norm(t, axis=1, keepdims=True)
+        t *= _NEWTON_RADIUS / np.maximum(length, _NEWTON_RADIUS)
+        found.append(s)
+        steps.append(t)
+        rates.append(np.einsum("bk,bk->b", g, t))
+    sel, t = np.concatenate(found), np.concatenate(steps)
+    Z = np.zeros((len(sel), n, n))
+    Z[:, ps.hi, ps.hj] = t
+    Z[:, ps.hj, ps.hi] = -t
+    return sel, Z, np.concatenate(rates)
 
 
 def _descend(Q0, M0, ps: _PairSet, opts: OptimizerOptions):
@@ -313,6 +391,15 @@ def _descend(Q0, M0, ps: _PairSet, opts: OptimizerOptions):
     laggards do not keep the whole batch running.  A frame's objective and
     M w are computed once, at the start or by the line-search trial that
     accepts the frame, and its gradient is built from them.
+
+    Steepest descent starts at step 0.2, grows an accepted step by 1.4 and
+    halves a rejected one.  In the tail, where the gradient norm |A| is at
+    most ``_NEWTON_GTOL (1 + |f|)``, a frame whose Hessian is positive
+    definite takes a Newton step instead, cut to ``_NEWTON_RADIUS``, with
+    Armijo starting at step 1.
+    A frame whose try fails (no positive definite Hessian, or no accepted
+    step) takes steepest-descent steps for 1, 2, 4, ... iterations before
+    its next try.
     """
     B, n = Q0.shape[0], Q0.shape[1]
     eye = np.eye(n)
@@ -326,6 +413,8 @@ def _descend(Q0, M0, ps: _PairSet, opts: OptimizerOptions):
     idx = np.arange(B)
     step = np.full(B, 0.2)
     dead = np.zeros(B, dtype=bool)
+    retry = np.zeros(B)  # iteration of a frame's next Newton try
+    wait = np.ones(B)  # iterations to the next try after a failed one
     scale = 1.0 + np.abs(f)
     gtol2 = (_GTOL * scale) ** 2
     snap = f.copy()
@@ -349,41 +438,61 @@ def _descend(Q0, M0, ps: _PairSet, opts: OptimizerOptions):
             out_f[idx[sel]] = f[sel]
             out_conv[idx[sel]] = True
             keep = ~finished
-            idx, f, g2, step, dead, scale, gtol2, snap, Q, A, Mw = (
-                x[keep] for x in (idx, f, g2, step, dead, scale, gtol2, snap,
-                                  Q, A, Mw))
+            (idx, f, g2, step, dead, retry, wait, scale, gtol2, snap, Q, A,
+             Mw) = (x[keep] for x in (idx, f, g2, step, dead, retry, wait,
+                                      scale, gtol2, snap, Q, A, Mw))
             M = M if shared else M[keep]
             if idx.size == 0:
                 break
         if window_end:
             snap = f.copy()
 
+        # Newton steps where the gradient is small and the Hessian positive
+        # definite: they search from step 1 and keep their frames'
+        # steepest-descent steps for later
+        Z, slope = A, g2
+        tail = (g2 <= (_NEWTON_GTOL * (1.0 + np.abs(f))) ** 2) & (retry <= it)
+        newton = np.zeros(idx.size, dtype=bool)
+        if tail.any():
+            sel, Zn, sn = _newton_directions(ps, Q, M, A, np.flatnonzero(tail))
+            newton[sel] = True
+            Z, slope = A.copy(), g2.copy()
+            Z[sel], slope[sel] = Zn, sn
+            sd_step = step[sel]
+            step[sel] = 1.0
+
         # Armijo backtracking: the first trial takes the whole working set,
         # and becomes it when every frame accepts; rejected frames halve
         # their steps and retry
-        Qt, ft, Mwt, ok = _armijo_trial(ps, eye, Q, A, M, step, f, g2)
+        Qt, ft, Mwt, ok = _armijo_trial(ps, eye, Q, Z, M, step, f, slope)
         if ok.all():
             Q, f, Mw = Qt, ft, Mwt
-            step = np.minimum(step * 1.4, 1.0)
-            continue
-        accepted = np.zeros(idx.size, dtype=bool)
-        sub = np.arange(idx.size)
-        for trial in range(40):
-            if trial:
-                Qt, ft, Mwt, ok = _armijo_trial(
-                    ps, eye, Q[sub], A[sub], M if shared else M[sub],
-                    step[sub], f[sub], g2[sub])
-            good = sub[ok]
-            Q[good], f[good], Mw[good] = Qt[ok], ft[ok], Mwt[ok]
-            accepted[good] = True
-            bad = sub[~ok]
-            step[bad] *= 0.5
-            give_up = step[bad] < 1e-14
-            dead[bad[give_up]] = True  # no acceptable step: retire next sweep
-            sub = bad[~give_up]
-            if sub.size == 0:
-                break
-        step[accepted] = np.minimum(step[accepted] * 1.4, 1.0)
+            accepted = ok
+        else:
+            accepted = np.zeros(idx.size, dtype=bool)
+            sub = np.arange(idx.size)
+            for trial in range(40):
+                if trial:
+                    Qt, ft, Mwt, ok = _armijo_trial(
+                        ps, eye, Q[sub], Z[sub], M if shared else M[sub],
+                        step[sub], f[sub], slope[sub])
+                good = sub[ok]
+                Q[good], f[good], Mw[good] = Qt[ok], ft[ok], Mwt[ok]
+                accepted[good] = True
+                bad = sub[~ok]
+                step[bad] *= 0.5
+                # no acceptable step: retire next sweep
+                give_up = step[bad] < 1e-14
+                dead[bad[give_up]] = True
+                sub = bad[~give_up]
+                if sub.size == 0:
+                    break
+        step[accepted] *= 1.4
+        if tail.any():
+            step[newton] = sd_step
+            failed = tail & ~(newton & accepted)
+            retry[failed] = it + wait[failed]
+            wait[failed] *= 2
 
     if idx.size:  # hit max_iters: report honestly as unconverged
         out_Q[idx] = Q

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import lagdelta
+from lagdelta import cli
 from lagdelta.cli import MAX_BATCH_ELEMENTS, main
 from lagdelta.delta import MAX_GRID_RESOLUTION
 
@@ -382,3 +384,27 @@ def test_cli_import_loads_no_scipy():
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_parser_built_once_per_process(monkeypatch, capsys):
+    # a fresh cache, then calls that fail and succeed in turn: one parser
+    # serves them all, and an error leaves nothing behind
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli._build_parser.cache_clear()
+    try:
+        assert main(["audit", "--count", "5"]) == 2
+        assert main(["audit", "--n", "3", "--count", "2",
+                     "--restarts", "2"]) == 0
+        assert main(["verify", "no-such-example"]) == 2
+        assert main(["audit", "--n", "3", "--count", "2",
+                     "--restarts", "2"]) == 0
+    finally:
+        cli._build_parser.cache_clear()
+    assert built == ["lagdelta", "lagdelta verify", "lagdelta delta",
+                     "lagdelta audit"]  # the parser and its subparsers

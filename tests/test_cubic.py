@@ -149,6 +149,32 @@ class TestPointData:
         with pytest.raises(ValueError):
             data.h[0, 0, 0] = 1.0
 
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_canonical_copy_matches_scatter_of_sorted_triples(self, n):
+        # the reference: the sorted-triple entries scattered to every
+        # permutation, accepted iff symmetry_deviation is within tolerance
+        rng = np.random.default_rng([n, 3])
+        triples = cubic_triples(n)
+        tol = 1e-12
+        outcomes = set()
+        for noise in (0.0, 1e-14, 3e-13, 1e-12, 1e-11):
+            sym = symmetrize_cubic(rng.standard_normal((n, n, n)))
+            h = sym + noise * rng.standard_normal((n, n, n))
+            dev = symmetry_deviation(h)
+            if dev > tol * (1.0 + np.abs(h).max()):
+                outcomes.add("rejected")
+                with pytest.raises(ValueError) as err:
+                    LagrangianPointData(n, 0.0, h)
+                assert str(err.value) == (f"array is not totally symmetric: "
+                                          f"deviation {dev:.3e}")
+                continue
+            outcomes.add("accepted")
+            want = scatter_cubic(np.zeros((n, n, n)), triples,
+                                 h[tuple(triples.T)] + 0.0)
+            got = LagrangianPointData(n, 0.0, h).h
+            np.testing.assert_array_equal(got, want)
+        assert outcomes == {"accepted", "rejected"}
+
     @pytest.mark.parametrize("h,match", [
         (np.zeros((3, 3)), "shape"),
         (np.zeros((3, 3, 4)), "shape"),

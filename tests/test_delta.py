@@ -13,7 +13,8 @@ from lagdelta.delta import (DeltaDiagnostics, DeltaTuple, OptimizerOptions,
                             oracle_delta_dim3, oracle_delta_grid)
 from lagdelta.delta import (MAX_GRID_RESOLUTION, _GRID_AXES, _PairSet,
                             _assignment_minima, _assignment_table,
-                            _block_pairs, _descend, _givens, _minimize_batch,
+                            _block_pairs, _descend, _givens, _initial_frames,
+                            _minimize_batch, _newton_directions,
                             _random_orthogonal, _wedge)
 from lagdelta.exceptions import Inadmissible
 from lagdelta.frames import (constant_curvature, pair_basis,
@@ -577,18 +578,32 @@ class TestDescent:
     @pytest.mark.parametrize("max_iters", [1, 2, 40])
     def test_one_evaluation_per_trial_round(self, monkeypatch, max_iters):
         Q0, M, ps = _descent_inputs(5, (2, 3), 12)
-        evaluated, solved = [], []
-        evaluate, solve = ps.evaluate, np.linalg.solve
+        evaluated, solved, hessian_frames, stencil = [], [], [], []
+        in_hessian = [False]
+        evaluate, solve, hessian = ps.evaluate, np.linalg.solve, ps.hessian
 
         def counted_evaluate(Q, M):
-            evaluated.append(len(Q))
+            # the Hessian's stencil frames, (B, 2d, n, n), are counted apart
+            if in_hessian[0]:
+                stencil.append(Q.shape[0] * Q.shape[1])
+            else:
+                evaluated.append(len(Q))
             return evaluate(Q, M)
 
         def counted_solve(a, b):
             solved.append(len(a))
             return solve(a, b)
 
+        def counted_hessian(Q, M):
+            hessian_frames.append(len(Q))
+            in_hessian[0] = True
+            try:
+                return hessian(Q, M)
+            finally:
+                in_hessian[0] = False
+
         monkeypatch.setattr(ps, "evaluate", counted_evaluate)
+        monkeypatch.setattr(ps, "hessian", counted_hessian)
         monkeypatch.setattr(np.linalg, "solve", counted_solve)
         Q, f, _, _ = _descend(Q0, M, ps, OptimizerOptions(max_iters=max_iters))
         # the start frames once, then each line-search round's trial frames
@@ -596,6 +611,10 @@ class TestDescent:
         assert solved
         assert evaluated == [len(Q0)] + solved
         np.testing.assert_array_equal(f, evaluate(Q, M)[0])
+        # a Hessian evaluates its 2d stencil frames per frame, nothing else
+        assert sum(stencil) == 2 * len(ps.hi) * sum(hessian_frames)
+        if max_iters == 40:
+            assert hessian_frames  # the tail tried Newton steps
 
     @pytest.mark.parametrize("n,parts,restarts", [
         (3, (2,), 6), (5, (2,), 6), (6, (2, 2), 8), (9, (4, 4), 4)])
@@ -607,6 +626,141 @@ class TestDescent:
         copies = _descend(Q0, np.repeat(M[None], restarts, axis=0), ps, opts)
         for a, b in zip(shared, copies):
             np.testing.assert_array_equal(a, b)
+
+
+class TestNewtonTail:
+    """The descent's Newton steps: a sound Hessian, never a worse f, the
+    same minimum per restart as steepest descent alone, cut steps, and
+    Hessian chunks within their memory bounds."""
+
+    CASES = [(4, (2,)), (4, (2, 2)), (5, (2, 3)), (5, (3,)), (6, (2, 2)),
+             (6, (4,)), (7, (2, 3)), (7, (2, 2, 2)), (8, (3, 4)), (8, (2,)),
+             (9, (3, 5)), (9, (2, 2, 2))]
+
+    @pytest.mark.parametrize("n,parts", [(4, (2,)), (5, (2, 3)),
+                                         (7, (2, 2, 2)), (9, (3, 5))])
+    def test_hessian_matches_second_differences(self, n, parts):
+        # second differences of f(Q cayley(s E_k + t E_l)) at s = t = 0;
+        # the Cayley map agrees with exp to second order
+        rng = np.random.default_rng([n, 11])
+        M = pair_curvature_operator(random_tensor(n, rng).components)
+        Q = _random_orthogonal(rng, (2,), n)
+        ps = _PairSet(DeltaTuple(n, parts))
+        d = len(ps.hi)
+        E = np.zeros((d, n, n))
+        E[np.arange(d), ps.hi, ps.hj] = 1.0
+        E[np.arange(d), ps.hj, ps.hi] = -1.0
+        h = 1e-4
+        signs = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+        X = np.stack([s * E[:, None] + t * E[None] for s, t in signs]) * h
+        f = ps.evaluate((Q[:, None, None, None] @ _cayley(X)).reshape(
+            -1, n, n), M)[0].reshape(2, 4, d, d)
+        ref = (f[:, 0] - f[:, 1] - f[:, 2] + f[:, 3]) / (4 * h * h)
+        H = ps.hessian(Q, M)
+        np.testing.assert_array_equal(H, np.swapaxes(H, -1, -2))
+        assert np.abs(H - ref).max() <= 1e-5 * (1.0 + np.abs(ref).max())
+
+    def test_horizontal_pairs_join_different_blocks(self):
+        ps = _PairSet(DeltaTuple(7, (2, 3)))
+        labels = DeltaTuple(7, (2, 3)).labels
+        pairs = set(zip(ps.hi.tolist(), ps.hj.tolist()))
+        assert pairs == {(i, j) for i in range(7) for j in range(i + 1, 7)
+                         if labels[i] != labels[j]}
+
+    @pytest.mark.parametrize("n,parts", CASES)
+    def test_same_minima_as_steepest_descent(self, monkeypatch, n, parts):
+        # every restart, not only each sample's best, ends at the f that
+        # steepest descent alone reaches from the same start frame
+        rng = np.random.default_rng([n, len(parts)])
+        comps = gauss_components(
+            np.stack([random_cubic_form(n, rng) for _ in range(4)]), 0.0)
+        Q0 = _initial_frames(comps, 6, 3).reshape(-1, n, n)
+        M = np.repeat(pair_curvature_operator(comps), 6, axis=0)
+        ps = _PairSet(DeltaTuple(n, parts))
+        _, newton, conv, _ = _descend(Q0, M, ps, OptimizerOptions())
+        assert conv.all()
+        monkeypatch.setattr("lagdelta.delta._NEWTON_GTOL", 0.0)
+        _, steepest, conv, _ = _descend(Q0, M, ps,
+                                        OptimizerOptions(max_iters=5000))
+        assert conv.all()
+        assert np.all(np.abs(newton - steepest)
+                      <= 1e-10 * (1.0 + np.abs(steepest)))
+
+    @pytest.mark.parametrize("n,parts", [(5, (2,)), (6, (2, 2)), (8, (3, 4))])
+    def test_newton_steps_never_raise_f(self, monkeypatch, n, parts):
+        # frames near minima, so that the first iterations are Newton's;
+        # a run of k + 1 iterations extends the run of k
+        Q0, M, ps = _descent_inputs(n, parts, 6, seed=2)
+        Q1 = _descend(Q0, M, ps, OptimizerOptions(max_iters=200))[0]
+        rng = np.random.default_rng([n, 5])
+        X = 1e-2 * rng.standard_normal(Q1.shape)
+        Q1 = Q1 @ _cayley(X - np.swapaxes(X, -1, -2))
+        calls = []
+        hessian = ps.hessian
+        monkeypatch.setattr(ps, "hessian",
+                            lambda Q, M: calls.append(len(Q)) or hessian(Q, M))
+        previous = ps.evaluate(Q1, M)[0]
+        for k in range(1, 9):
+            f = _descend(Q1, M, ps, OptimizerOptions(max_iters=k))[1]
+            assert np.all(f <= previous)
+            previous = f
+        assert calls
+
+    @pytest.mark.parametrize("shared", [True, False])
+    @pytest.mark.parametrize("entries", [0, 1 << 17])
+    def test_hessian_chunks_within_budget(self, monkeypatch, shared,
+                                          entries):
+        # a chunk of c Hessians evaluates 2dc stencil frames: at most half
+        # the W frames of the iteration's working set, entries // n**4, or
+        # 2d
+        monkeypatch.setattr("lagdelta.delta._HESSIAN_ENTRIES", entries)
+        Q0, M, ps = _descent_inputs(5, (2, 3), 120)
+        M = M if shared else np.repeat(M[None], len(Q0), axis=0)
+        stencil = 2 * len(ps.hi)  # the frames of one Hessian, 12 here
+        calls, evaluate, hessian = [], ps.evaluate, ps.hessian
+
+        def counted_evaluate(Q, M):
+            if Q.ndim == 3:  # not a Hessian's stencil, (c, 2d, n, n)
+                calls.append(("trial", len(Q)))
+            return evaluate(Q, M)
+
+        monkeypatch.setattr(ps, "hessian", lambda Q, M: calls.append(
+            ("hessian", len(Q))) or hessian(Q, M))
+        monkeypatch.setattr(ps, "evaluate", counted_evaluate)
+        _descend(Q0, M, ps, OptimizerOptions())
+        trials = [k for k, (kind, _) in enumerate(calls) if kind == "trial"]
+        chunks = [(size, next(calls[t][1] for t in trials if t > k))
+                  for k, (kind, size) in enumerate(calls) if kind == "hessian"]
+        assert chunks
+        assert all(stencil * c <= max(W // 2, entries // 5**4, stencil)
+                   for c, W in chunks)
+        assert max(c for c, _ in chunks) > 1
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_newton_directions_chunked_and_bounded(self, monkeypatch, shared):
+        # the same steps however the Hessians are chunked; each step is a
+        # descent direction no longer than the trust radius, in radians
+        Q, M, ps = _descent_inputs(6, (2, 2), 60, seed=4)
+        M = M if shared else np.repeat(M[None], len(Q), axis=0)
+        Q = _descend(Q, M, ps, OptimizerOptions(max_iters=10))[0]
+        QtG = np.swapaxes(Q, -1, -2) @ ps.gradient(Q, ps.evaluate(Q, M)[1])
+        A = 0.5 * (QtG - np.swapaxes(QtG, -1, -2))
+        sel = np.arange(1, len(Q), 2)
+        whole = _newton_directions(ps, Q, M, A, sel)
+        few = _newton_directions(ps, Q[:30], M if shared else M[:30],
+                                 A[:30], sel[:15])
+        assert len(whole[0]) > 0
+        np.testing.assert_array_equal(few[0], whole[0][whole[0] < 30])
+        np.testing.assert_array_equal(few[1], whole[1][:len(few[0])])
+        sel, Z, rate = whole
+        t = Z[:, ps.hi, ps.hj]
+        np.testing.assert_array_equal(Z[:, ps.hj, ps.hi], -t)
+        length = np.linalg.norm(t, axis=1)
+        assert np.all(length <= np.pi / 4 * (1 + 1e-15))
+        assert np.any(length >= np.pi / 4 * (1 - 1e-15))  # some are cut
+        np.testing.assert_allclose(rate, 2.0 * np.einsum(
+            "bk,bk->b", A[sel][:, ps.hi, ps.hj], t), rtol=1e-12)
+        assert np.all(rate > 0)
 
 
 def _frame_from_angles(n, axes, angles):
