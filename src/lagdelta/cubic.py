@@ -26,6 +26,7 @@ __all__ = [
     "scatter_cubic",
     "symmetrize_cubic",
     "symmetry_deviation",
+    "symmetry_deviations",
     "gauss_components",
     "LagrangianPointData",
     "validate_cubic",
@@ -84,14 +85,20 @@ def _orbits(n: int):
     return orbits, sorted_entry
 
 
-def symmetry_deviation(t: np.ndarray) -> float:
-    """Max deviation of t from symmetry under the permutations of its last
-    three axes: the largest spread, max - min, of t over the permutations
-    of one index triple, which is the largest |t - t permuted|."""
+def symmetry_deviations(t: np.ndarray) -> np.ndarray:
+    """Deviation (...) of each (n, n, n) array of t (..., n, n, n) from
+    symmetry under the permutations of its last three axes: the largest
+    spread, max - min, of t over the permutations of one index triple,
+    which is the largest |t - t permuted|."""
     t = np.asarray(t)
     n = t.shape[-1]
     flat = t.reshape(*t.shape[:-3], n ** 3)
-    return float(np.ptp(flat[..., _orbits(n)[0]], axis=-1).max())
+    return np.ptp(flat[..., _orbits(n)[0]], axis=-1).max(axis=-1)
+
+
+def symmetry_deviation(t: np.ndarray) -> float:
+    """The largest of ``symmetry_deviations(t)``."""
+    return float(symmetry_deviations(t).max())
 
 
 def _canonical_cubic(h, tol: float = 1e-12) -> np.ndarray:

@@ -176,18 +176,13 @@ _GTOL = 3e-8
 _STALL_TOL = 1e-12
 _STALL_ITERS = 20
 # A frame whose gradient norm is at most _NEWTON_GTOL (1 + |f|) tries a
-# Newton step: its Hessian from central differences of step _NEWTON_EPS,
-# used where lambda_min > _NEWTON_PD lambda_max.  A step t longer than
-# _NEWTON_RADIUS, half the rotation angle pi/2 that swaps two frame columns,
-# is cut to that length: Armijo only asks that f fall, and would accept a
-# jump into another basin.  A chunk of Hessians evaluates at most half the
-# working set's frames, or _HESSIAN_ENTRIES // n**4 of them, or one
-# frame's 2d.
+# Newton step: its Hessian in closed form, used where lambda_min >
+# _NEWTON_PD lambda_max.  A step t longer than _NEWTON_RADIUS, half the
+# rotation angle pi/2 that swaps two frame columns, is cut to that length:
+# Armijo only asks that f fall, and would accept a jump into another basin.
 _NEWTON_GTOL = 1e-2
-_NEWTON_EPS = 1e-5
 _NEWTON_PD = 1e-8
 _NEWTON_RADIUS = np.pi / 4
-_HESSIAN_ENTRIES = 1 << 17
 _ASSIGNMENT_ROUNDS = 2  # polish-and-descend rounds after the restarts
 _CHUNK_ENTRIES = 2_000_000  # per block of the grid GEMM and assignment gather
 
@@ -195,10 +190,12 @@ _CHUNK_ENTRIES = 2_000_000  # per block of the grid GEMM and assignment gather
 # largest arrays are the gradient's terms, 2 n(n-1) P floats per frame for
 # P block pairs, and their M w factors, n(n-1) P: together at most
 # 0.88 n**4 floats per frame for n <= 12, 350 MB at the budget.  A batch of
-# several samples adds one (p, p) operator per frame, under n**4 / 4.
-# Measured peak RSS at the budget, n = 12, tuple (2, 10), two iterations:
-# 465 MB for 1 sample of 2411 restarts, 659 MB for 401 samples of 6; with
-# a Newton Hessian of every frame in both iterations, 495 and 654 MB.
+# several samples adds one (p, p) operator per frame, under n**4 / 4, and a
+# Newton Hessian a few (p, p) arrays per frame.  Measured peak RSS at the
+# budget, n = 12, two iterations, 1 sample of 2411 restarts and 401 samples
+# of 6: tuple (2, 10) 493 and 644 MB; with a Newton Hessian of every frame
+# in both iterations, (2, 10) 495 and 699 MB, (2, 2, 2, 2, 2) 467 and
+# 702 MB, (3, 3, 3, 3) 425 and 663 MB.
 MAX_BATCH_ELEMENTS = 50_000_000
 
 
@@ -292,10 +289,18 @@ class _PairSet:
         ends[0, np.arange(P), self.a] = 2.0
         ends[1, np.arange(P), self.b] = -2.0
         self._ends = ends.reshape(2 * P, n)
-        # the Hessian's stencil: exp(+eps E_l), then exp(-eps E_l), (2d, n, n)
-        self._stencil = np.array([
-            _givens(n, i, j, t) for t in (-_NEWTON_EPS, _NEWTON_EPS)
-            for i, j in zip(self.hi, self.hj)])
+        # The Hessian: E_l acts on the pair basis as the derivation
+        # D_l = (C2(I + E_l) - C2(I - E_l)) / 2, exact since C2 is quadratic.
+        # D_l maps basis bivector q to _sign[l, q] times bivector
+        # _target[l, q], with sign 0 where it maps q to 0.
+        eye = np.eye(n)
+        E = eye[self.hi, :, None] * eye[self.hj, None, :]
+        E = E - np.swapaxes(E, -1, -2)
+        pairs = self.I, self.J, self.I, self.J
+        D = 0.5 * (_wedge(eye + E, *pairs) - _wedge(eye - E, *pairs))
+        self._target = np.abs(D).argmax(axis=1)
+        self._sign = np.take_along_axis(D, self._target[:, None], 1)[:, 0]
+        self._within = np.flatnonzero(within)
 
     def evaluate(self, Q: np.ndarray, M: np.ndarray):
         """Objective (...) and M w (..., p, P) of frames Q (..., n, n)."""
@@ -319,22 +324,25 @@ class _PairSet:
 
     def hessian(self, Q: np.ndarray, M: np.ndarray) -> np.ndarray:
         """Hessian (B, d, d) of f(Q exp(sum_l t_l E_l)) in the horizontal
-        coordinates t at t = 0, for frames Q (B, n, n).
+        coordinates t at t = 0, for frames Q (B, n, n), in closed form.
 
-        Central differences, step ``_NEWTON_EPS``, of the exact gradient
-        g_k = <Q^T G, E_k> at the 2d frames Q exp(+-eps E_l), symmetrized.
+        With C = C2(Q) and M' = C^T M C, Cauchy-Binet gives
+        f(Q e^X) = sum_k e_k^T e^{D_X}^T M' e^{D_X} e_k over the block
+        pairs k, so H_lm = sum_k 2 (D_l e_k)^T M' (D_m e_k)
+        + e_k^T M' (D_l D_m + D_m D_l) e_k.  Each D_l e_k is one signed
+        basis bivector or 0, so each term gathers entries of M', one block
+        pair at a time.  X holds half the first sum and the D_l D_m terms,
+        and H = X + X^T is exactly symmetric.
         """
-        B, n = Q.shape[:2]
+        C = _wedge(Q, self.I, self.J, self.I, self.J)
+        Mp = np.swapaxes(C, -1, -2) @ M @ C
         d = len(self.hi)
-        Qp = Q[:, None] @ self._stencil
-        Mw = self.evaluate(Qp, M if M.ndim == 2 else M[:, None])[1]
-        Qp = Qp.reshape(-1, n, n)
-        QtG = np.swapaxes(Qp, -1, -2) @ self.gradient(
-            Qp, Mw.reshape(len(Qp), *Mw.shape[2:]))
-        g = (QtG[:, self.hi, self.hj]
-             - QtG[:, self.hj, self.hi]).reshape(B, 2, d, d)
-        H = (g[:, 0] - g[:, 1]) / (2.0 * _NEWTON_EPS)
-        return 0.5 * (H + np.swapaxes(H, -1, -2))
+        X = np.zeros((len(Q), d, d))
+        for k in self._within:
+            t, s = self._target[:, k], self._sign[:, k]
+            X += s[:, None] * s * Mp[:, t[:, None], t]
+            X += self._sign[:, t] * s * Mp[:, k, self._target[:, t]]
+        return X + np.swapaxes(X, -1, -2)
 
 
 def _armijo_trial(ps: _PairSet, eye, Q, Z, M, step, f, slope):
@@ -355,31 +363,18 @@ def _newton_directions(ps: _PairSet, Q, M, A, sel):
     lambda_min > ``_NEWTON_PD`` lambda_max; for those, Z with Q cayley(-Z)
     the Newton step, -Z = -sum_l t_l E_l for t = H^-1 g cut to length at
     most ``_NEWTON_RADIUS``; and the rate g^T t at which f falls along it.
-    Hessians are built and solved c frames at a time, for 2dc stencil
-    frames at most W / 2 (the iteration's gradient took W), or
-    ``_HESSIAN_ENTRIES // n**4``, or 2d: the Hessians add little to the
-    descent's peak memory.
     """
-    n, d = Q.shape[-1], len(ps.hi)
-    chunk = max(1, max(len(Q) // 2, _HESSIAN_ENTRIES // n**4) // (2 * d))
-    found, steps, rates = [], [], []
-    for lo in range(0, len(sel), chunk):
-        s = sel[lo:lo + chunk]
-        lam, V = np.linalg.eigh(ps.hessian(Q[s], M if M.ndim == 2 else M[s]))
-        pd = lam[:, 0] > _NEWTON_PD * lam[:, -1]
-        s, lam, V = s[pd], lam[pd], V[pd]
-        g = 2.0 * A[s[:, None], ps.hi, ps.hj]
-        t = np.einsum("bkl,bl->bk", V, np.einsum("bkl,bk->bl", V, g) / lam)
-        length = np.linalg.norm(t, axis=1, keepdims=True)
-        t *= _NEWTON_RADIUS / np.maximum(length, _NEWTON_RADIUS)
-        found.append(s)
-        steps.append(t)
-        rates.append(np.einsum("bk,bk->b", g, t))
-    sel, t = np.concatenate(found), np.concatenate(steps)
-    Z = np.zeros((len(sel), n, n))
+    lam, V = np.linalg.eigh(ps.hessian(Q[sel], M if M.ndim == 2 else M[sel]))
+    pd = lam[:, 0] > _NEWTON_PD * lam[:, -1]
+    sel, lam, V = sel[pd], lam[pd], V[pd]
+    g = 2.0 * A[sel[:, None], ps.hi, ps.hj]
+    t = np.einsum("bkl,bl->bk", V, np.einsum("bkl,bk->bl", V, g) / lam)
+    length = np.linalg.norm(t, axis=1, keepdims=True)
+    t *= _NEWTON_RADIUS / np.maximum(length, _NEWTON_RADIUS)
+    Z = np.zeros((len(sel),) + Q.shape[1:])
     Z[:, ps.hi, ps.hj] = t
     Z[:, ps.hj, ps.hi] = -t
-    return sel, Z, np.concatenate(rates)
+    return sel, Z, np.einsum("bk,bk->b", g, t)
 
 
 def _descend(Q0, M0, ps: _PairSet, opts: OptimizerOptions):

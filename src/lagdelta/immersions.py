@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Callable
 
 import numpy as np
 
-from .cubic import LagrangianPointData, mean_curvature, symmetrize_cubic
+from .cubic import (LagrangianPointData, mean_curvature, symmetrize_cubic,
+                    symmetry_deviations)
 from .exceptions import (ChartDomainError, HorizontalityError,
                          NotPositiveDefinite)
 from .frames import CurvatureTensor, gram_schmidt
@@ -288,13 +288,6 @@ def _check_stacking(chart: ImmersionChart, X: np.ndarray,
                 f"arrays")
 
 
-def _symmetry_deviations(raw: np.ndarray) -> np.ndarray:
-    """Per row: max deviation of an (S, n, n, n) stack from symmetry under
-    the permutations of its last three axes."""
-    return np.max([np.abs(raw - raw.transpose(0, *p)).max(axis=(1, 2, 3))
-                   for p in list(permutations((1, 2, 3)))[1:]], axis=0)
-
-
 def _extract(chart: ImmersionChart, X: np.ndarray,
              guard: bool) -> list[ExtractedData]:
     """``induced_data`` of one chunk of rows, all inside the domain."""
@@ -312,7 +305,7 @@ def _extract(chart: ImmersionChart, X: np.ndarray,
         checks.append((resid > _HORIZONTALITY_TOL,
                        lambda r: HorizontalityError(resid[r])))
     raw, cubic_checks = _raw_cubic(chart, X, dL)
-    dev = _symmetry_deviations(raw)
+    dev = symmetry_deviations(raw)
     tol = _SPHERE_SYMMETRY_TOL if sphere else _FLAT_SYMMETRY_TOL
     checks += cubic_checks
     checks.append((dev > tol, lambda r: ValueError(

@@ -1,4 +1,5 @@
 import json
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from lagdelta.cubic import (LagrangianPointData, cubic_triples,
                             mean_curvature, point_data_from_json,
                             point_data_to_json, random_cubic_form,
                             rotate_cubic, scatter_cubic, symmetrize_cubic,
-                            symmetry_deviation, tau_from_cubic,
-                            validate_cubic)
+                            symmetry_deviation, symmetry_deviations,
+                            tau_from_cubic, validate_cubic)
 from lagdelta.frames import rotate_tensor, scalar_tau, sectional_curvature
 
 LAM = 2.0 / np.sqrt(3.0)
@@ -193,6 +194,18 @@ class TestPointData:
                              (2, 1, 0)])
         assert symmetry_deviation(t) == want
         assert symmetry_deviation(symmetrize_cubic(t[0])) < 1e-15
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_symmetry_deviations_per_row(self, n):
+        # the largest spread over an orbit is the largest |t - t permuted|,
+        # rounding included: fl(x - y) is monotone in x - y
+        t = np.random.default_rng([n, 3]).standard_normal((2, 5, n, n, n))
+        want = np.max([np.abs(t - t.transpose(0, 1, *p)).max(axis=(2, 3, 4))
+                       for p in permutations((2, 3, 4))], axis=0)
+        got = symmetry_deviations(t)
+        assert got.shape == (2, 5)
+        np.testing.assert_array_equal(got, want)
+        assert symmetry_deviation(t) == want.max()
 
 
 class TestGaussCurvature:

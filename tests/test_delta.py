@@ -14,7 +14,7 @@ from lagdelta.delta import (DeltaDiagnostics, DeltaTuple, OptimizerOptions,
 from lagdelta.delta import (MAX_GRID_RESOLUTION, _GRID_AXES, _PairSet,
                             _assignment_minima, _assignment_table,
                             _block_pairs, _descend, _givens, _initial_frames,
-                            _minimize_batch, _newton_directions,
+                            _minimize_batch, _newton_directions, _pair_index,
                             _random_orthogonal, _wedge)
 from lagdelta.exceptions import Inadmissible
 from lagdelta.frames import (constant_curvature, pair_basis,
@@ -578,16 +578,11 @@ class TestDescent:
     @pytest.mark.parametrize("max_iters", [1, 2, 40])
     def test_one_evaluation_per_trial_round(self, monkeypatch, max_iters):
         Q0, M, ps = _descent_inputs(5, (2, 3), 12)
-        evaluated, solved, hessian_frames, stencil = [], [], [], []
-        in_hessian = [False]
+        evaluated, solved, hessian_frames = [], [], []
         evaluate, solve, hessian = ps.evaluate, np.linalg.solve, ps.hessian
 
         def counted_evaluate(Q, M):
-            # the Hessian's stencil frames, (B, 2d, n, n), are counted apart
-            if in_hessian[0]:
-                stencil.append(Q.shape[0] * Q.shape[1])
-            else:
-                evaluated.append(len(Q))
+            evaluated.append(len(Q))
             return evaluate(Q, M)
 
         def counted_solve(a, b):
@@ -595,12 +590,12 @@ class TestDescent:
             return solve(a, b)
 
         def counted_hessian(Q, M):
+            before = len(evaluated)
+            H = hessian(Q, M)
+            # a Hessian is closed form: it evaluates no frame
+            assert len(evaluated) == before
             hessian_frames.append(len(Q))
-            in_hessian[0] = True
-            try:
-                return hessian(Q, M)
-            finally:
-                in_hessian[0] = False
+            return H
 
         monkeypatch.setattr(ps, "evaluate", counted_evaluate)
         monkeypatch.setattr(ps, "hessian", counted_hessian)
@@ -611,8 +606,6 @@ class TestDescent:
         assert solved
         assert evaluated == [len(Q0)] + solved
         np.testing.assert_array_equal(f, evaluate(Q, M)[0])
-        # a Hessian evaluates its 2d stencil frames per frame, nothing else
-        assert sum(stencil) == 2 * len(ps.hi) * sum(hessian_frames)
         if max_iters == 40:
             assert hessian_frames  # the tail tried Newton steps
 
@@ -630,20 +623,22 @@ class TestDescent:
 
 class TestNewtonTail:
     """The descent's Newton steps: a sound Hessian, never a worse f, the
-    same minimum per restart as steepest descent alone, cut steps, and
-    Hessian chunks within their memory bounds."""
+    same minimum per restart as steepest descent alone, and cut steps."""
 
     CASES = [(4, (2,)), (4, (2, 2)), (5, (2, 3)), (5, (3,)), (6, (2, 2)),
              (6, (4,)), (7, (2, 3)), (7, (2, 2, 2)), (8, (3, 4)), (8, (2,)),
              (9, (3, 5)), (9, (2, 2, 2))]
 
-    @pytest.mark.parametrize("n,parts", [(4, (2,)), (5, (2, 3)),
-                                         (7, (2, 2, 2)), (9, (3, 5))])
+    @pytest.mark.parametrize("n,parts", [
+        (4, (2,)), (5, (2, 3)), (7, (2, 2, 2)), (9, (3, 5)), (4, (2, 2)),
+        (5, (3,)), (6, (2, 2)), (6, (4,)), (7, (2, 3)), (8, (3, 4)),
+        (8, (2,)), (9, (2, 2, 2))])
     def test_hessian_matches_second_differences(self, n, parts):
         # second differences of f(Q cayley(s E_k + t E_l)) at s = t = 0;
         # the Cayley map agrees with exp to second order
         rng = np.random.default_rng([n, 11])
-        M = pair_curvature_operator(random_tensor(n, rng).components)
+        M = pair_curvature_operator(np.stack(
+            [random_tensor(n, rng).components for _ in range(2)]))
         Q = _random_orthogonal(rng, (2,), n)
         ps = _PairSet(DeltaTuple(n, parts))
         d = len(ps.hi)
@@ -653,12 +648,33 @@ class TestNewtonTail:
         h = 1e-4
         signs = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
         X = np.stack([s * E[:, None] + t * E[None] for s, t in signs]) * h
-        f = ps.evaluate((Q[:, None, None, None] @ _cayley(X)).reshape(
-            -1, n, n), M)[0].reshape(2, 4, d, d)
-        ref = (f[:, 0] - f[:, 1] - f[:, 2] + f[:, 3]) / (4 * h * h)
-        H = ps.hessian(Q, M)
-        np.testing.assert_array_equal(H, np.swapaxes(H, -1, -2))
-        assert np.abs(H - ref).max() <= 1e-5 * (1.0 + np.abs(ref).max())
+        frames = Q[:, None, None, None] @ _cayley(X)
+        # one shared (p, p) operator, and one (B, p, p) per frame
+        for Mf, Mh in ((M[0], M[0]), (M[:, None, None, None], M)):
+            f = ps.evaluate(frames, Mf)[0]
+            ref = (f[:, 0] - f[:, 1] - f[:, 2] + f[:, 3]) / (4 * h * h)
+            H = ps.hessian(Q, Mh)
+            np.testing.assert_array_equal(H, np.swapaxes(H, -1, -2))
+            assert np.abs(H - ref).max() <= 1e-5 * (1.0 + np.abs(ref).max())
+
+    @pytest.mark.parametrize("n,parts", CASES)
+    def test_derivation_table(self, n, parts):
+        # E_l acts on the pair basis as d/dt C2(exp(t E_l)) at t = 0, which
+        # sends each basis bivector to at most one signed basis bivector,
+        # and the pair (i_l, j_l) itself to 0
+        ps = _PairSet(DeltaTuple(n, parts))
+        d, p = ps._sign.shape
+        assert set(np.unique(ps._sign)) <= {-1.0, 0.0, 1.0}
+        own = _pair_index(n)[ps.hi, ps.hj]
+        assert np.all(ps._sign[np.arange(d), own] == 0.0)
+        table = np.zeros((d, p, p))
+        table[np.arange(d)[:, None], ps._target, np.arange(p)] = ps._sign
+        h = 1e-4
+        I, J = pair_basis(n)
+        for l, (i, j) in enumerate(zip(ps.hi, ps.hj)):
+            fd = (_wedge(_givens(n, j, i, h), I, J, I, J)
+                  - _wedge(_givens(n, j, i, -h), I, J, I, J)) / (2 * h)
+            np.testing.assert_allclose(fd, table[l], rtol=0, atol=1e-8)
 
     def test_horizontal_pairs_join_different_blocks(self):
         ps = _PairSet(DeltaTuple(7, (2, 3)))
@@ -707,38 +723,8 @@ class TestNewtonTail:
         assert calls
 
     @pytest.mark.parametrize("shared", [True, False])
-    @pytest.mark.parametrize("entries", [0, 1 << 17])
-    def test_hessian_chunks_within_budget(self, monkeypatch, shared,
-                                          entries):
-        # a chunk of c Hessians evaluates 2dc stencil frames: at most half
-        # the W frames of the iteration's working set, entries // n**4, or
-        # 2d
-        monkeypatch.setattr("lagdelta.delta._HESSIAN_ENTRIES", entries)
-        Q0, M, ps = _descent_inputs(5, (2, 3), 120)
-        M = M if shared else np.repeat(M[None], len(Q0), axis=0)
-        stencil = 2 * len(ps.hi)  # the frames of one Hessian, 12 here
-        calls, evaluate, hessian = [], ps.evaluate, ps.hessian
-
-        def counted_evaluate(Q, M):
-            if Q.ndim == 3:  # not a Hessian's stencil, (c, 2d, n, n)
-                calls.append(("trial", len(Q)))
-            return evaluate(Q, M)
-
-        monkeypatch.setattr(ps, "hessian", lambda Q, M: calls.append(
-            ("hessian", len(Q))) or hessian(Q, M))
-        monkeypatch.setattr(ps, "evaluate", counted_evaluate)
-        _descend(Q0, M, ps, OptimizerOptions())
-        trials = [k for k, (kind, _) in enumerate(calls) if kind == "trial"]
-        chunks = [(size, next(calls[t][1] for t in trials if t > k))
-                  for k, (kind, size) in enumerate(calls) if kind == "hessian"]
-        assert chunks
-        assert all(stencil * c <= max(W // 2, entries // 5**4, stencil)
-                   for c, W in chunks)
-        assert max(c for c, _ in chunks) > 1
-
-    @pytest.mark.parametrize("shared", [True, False])
     def test_newton_directions_chunked_and_bounded(self, monkeypatch, shared):
-        # the same steps however the Hessians are chunked; each step is a
+        # a frame's step does not depend on the other frames; each step is a
         # descent direction no longer than the trust radius, in radians
         Q, M, ps = _descent_inputs(6, (2, 2), 60, seed=4)
         M = M if shared else np.repeat(M[None], len(Q), axis=0)
